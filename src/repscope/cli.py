@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -195,11 +194,10 @@ def _score_corpus(corpus: Corpus, config: AnalysisConfig):
     return index, summaries, dataset
 
 def _score_corpora(corpora: list[Corpus], config: AnalysisConfig):
-    workers = _worker_count(len(corpora))
-    if workers == 1:
-        return [_score_corpus(c, config) for c in corpora]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: _score_corpus(c, config), corpora))
+    # Serial: scoring is pure Python, so threads only contend for the GIL.
+    # REPSCOPE_THREADS is still validated, so a bad value exits 1 as documented.
+    _worker_count(len(corpora))
+    return [_score_corpus(c, config) for c in corpora]
 
 
 class _Run:

@@ -71,6 +71,25 @@ def _split_unit(unit: str) -> list[str]:
     return parts
 
 
+def _tokenize(
+    raw_text: str, config: TokenizerConfig, memo: dict[str, tuple[str, ...]]
+) -> TokenSequence:
+    """``tokenize`` with a caller-owned memo from each (case-folded)
+    whitespace unit to its tokens, so a unit that recurs across the texts
+    sharing the memo is split and interned only once."""
+    text = raw_text.lower() if config.case_fold else raw_text
+    split = config.punctuation_mode == "split"
+    tokens: list[str] = []
+    for unit in text.split():
+        parts = memo.get(unit)
+        if parts is None:
+            # interning dedups token storage across a large corpus
+            parts = tuple(map(sys.intern, _split_unit(unit) if split else (unit,)))
+            memo[unit] = parts
+        tokens += parts
+    return TokenSequence(tokens=tuple(tokens), text=raw_text)
+
+
 def tokenize(raw_text: str, config: TokenizerConfig | None = None) -> TokenSequence:
     """Tokenize text deterministically under ``config``.
 
@@ -78,17 +97,7 @@ def tokenize(raw_text: str, config: TokenizerConfig | None = None) -> TokenSeque
     leading/trailing punctuation split into separate tokens. Total function:
     empty text yields an empty sequence.
     """
-    if config is None:
-        config = TokenizerConfig()
-    text = raw_text.lower() if config.case_fold else raw_text
-    tokens: list[str] = []
-    for unit in text.split():
-        if config.punctuation_mode == "split":
-            tokens.extend(_split_unit(unit))
-        else:
-            tokens.append(unit)
-    # interning dedups token storage across a large corpus
-    return TokenSequence(tokens=tuple(sys.intern(t) for t in tokens), text=raw_text)
+    return _tokenize(raw_text, config if config is not None else TokenizerConfig(), {})
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,9 @@ class Corpus:
         return frozenset(rec.id for rec in self.records)
 
 
-def _record_from_object(obj: dict, config: TokenizerConfig) -> SummaryRecord:
+def _record_from_object(
+    obj: dict, config: TokenizerConfig, memo: dict[str, tuple[str, ...]]
+) -> SummaryRecord:
     for field_name in REQUIRED_FIELDS:
         if field_name not in obj:
             raise ValueError(f"missing required field {field_name!r}")
@@ -152,11 +163,11 @@ def _record_from_object(obj: dict, config: TokenizerConfig) -> SummaryRecord:
             raise ValueError(f"field {field_name!r} must be a string or omitted")
     return SummaryRecord(
         id=obj["id"],
-        summary=tokenize(obj["summary"], config),
+        summary=_tokenize(obj["summary"], config, memo),
         architecture=obj["architecture"],
         test_dataset=obj["test_dataset"],
         train_dataset=obj.get("train_dataset"),
-        input=tokenize(obj["input"], config) if obj.get("input") is not None else None,
+        input=_tokenize(obj["input"], config, memo) if obj.get("input") is not None else None,
     )
 
 
@@ -182,6 +193,7 @@ def load_corpus(
     ds_whitelist = set(allowed_datasets) if allowed_datasets is not None else None
     records: list[SummaryRecord] = []
     seen_ids: dict[str, int] = {}
+    memo: dict[str, tuple[str, ...]] = {}  # unit -> tokens, shared by every text in the file
     try:
         fh = path.open("r", encoding="utf-8")
     except OSError as exc:
@@ -197,7 +209,7 @@ def load_corpus(
             if not isinstance(obj, dict):
                 raise CorpusLoadError(f"{path}:{lineno}: expected a JSON object")
             try:
-                record = _record_from_object(obj, config)
+                record = _record_from_object(obj, config, memo)
             except ValueError as exc:
                 raise CorpusLoadError(f"{path}:{lineno}: {exc}") from exc
             if record.id in seen_ids:

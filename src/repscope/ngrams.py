@@ -25,7 +25,8 @@ def extract_ngrams(seq: TokenSequence | Sequence[str], n: int) -> list[NGram]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     tokens = tuple(getattr(seq, "tokens", seq))
-    return [tokens[i : i + n] for i in range(len(tokens) - n + 1)]
+    # zip over n shifted copies builds every window in C, not one slice per position
+    return list(zip(*[tokens[i:] for i in range(n)]))
 
 
 @dataclass(frozen=True)

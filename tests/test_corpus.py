@@ -1,7 +1,8 @@
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repscope.corpus import (
@@ -9,6 +10,7 @@ from repscope.corpus import (
     SummaryRecord,
     TokenizerConfig,
     TokenSequence,
+    _split_unit,
     load_corpus,
     save_corpus,
     tokenize,
@@ -16,6 +18,46 @@ from repscope.corpus import (
 from repscope.errors import CorpusLoadError, InputError
 
 from conftest import write_jsonl
+
+# Units that decide the tokenizer's output: ASCII and Unicode P* punctuation
+# at unit edges, interior punctuation, and letters whose case mapping changes
+# length ("İ".lower() is two characters; "ß".upper() is "SS"). Cores that
+# differ only in case or edge punctuation make distinct units that a memo
+# keyed on anything but the exact unit would confuse.
+_EDGES = "'.,(”«»—…¿"
+_CORES = ("a", "A", "ß", "ẞ", "SS", "İ", "i\u0307", "don't", "u.s", "x²", "€5")
+_UNITS = st.one_of(
+    st.builds(
+        lambda head, core, tail: head + core + tail,
+        st.text(_EDGES, max_size=2), st.sampled_from(_CORES), st.text(_EDGES, max_size=2),
+    ),
+    st.text(_EDGES + "aBİß", min_size=1, max_size=4),
+)
+# Separators, ASCII and not, all of which str.split() splits on.
+_SPACES = (" ", "  ", "\n", "\t", "\u00a0", "\u2003", "\x1c")
+
+
+def _reference_tokens(text: str, config: TokenizerConfig) -> tuple[str, ...]:
+    """The tokenizer without a memo: every unit split on its own."""
+    if config.case_fold:
+        text = text.lower()
+    tokens: list[str] = []
+    for unit in text.split():
+        tokens.extend(_split_unit(unit) if config.punctuation_mode == "split" else [unit])
+    return tuple(tokens)
+
+
+@st.composite
+def _corpus_texts(draw):
+    """(summary, input or None) pairs drawn from one small pool of units,
+    so units recur across records and within them. The pool holds each
+    unit's case-swapped and edge-stripped variants too."""
+    units = draw(st.lists(_UNITS, min_size=1, max_size=5))
+    pool = units + [u.swapcase() for u in units] + [u.strip(_EDGES) or u for u in units]
+    text = st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from(_SPACES)), max_size=12
+    ).map(lambda pairs: "".join(unit + space for unit, space in pairs))
+    return draw(st.lists(st.tuples(text, st.none() | text), min_size=1, max_size=6))
 
 
 class TestTokenize:
@@ -207,6 +249,34 @@ class TestLoadCorpus:
         corpus = load_corpus(path)
         total = sum(r.length_tokens for r in corpus.records)
         assert total == sum(len(r.summary.tokens) for r in corpus.records)
+
+    @pytest.mark.parametrize("case_fold", [True, False])
+    @pytest.mark.parametrize("punctuation_mode", ["split", "attached"])
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(texts=_corpus_texts())
+    def test_load_matches_tokenize(self, tmp_path, case_fold, punctuation_mode, texts):
+        # load_corpus shares one unit memo across the whole file; every text
+        # must still tokenize exactly as it does on its own and as it does
+        # with no memo at all
+        config = TokenizerConfig(case_fold=case_fold, punctuation_mode=punctuation_mode)
+        lines = []
+        for i, (summary, source) in enumerate(texts):
+            obj = {"id": f"s{i}", "summary": summary, "architecture": "A", "test_dataset": "d"}
+            if source is not None:
+                obj["input"] = source
+            lines.append(obj)
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", lines), config)
+        for rec, (summary, source) in zip(corpus.records, texts, strict=True):
+            want = tokenize(summary, config).tokens
+            assert rec.summary.tokens == want == _reference_tokens(summary, config)
+            if source is None:
+                assert rec.input is None
+            else:
+                want = tokenize(source, config).tokens
+                assert rec.input.tokens == want == _reference_tokens(source, config)
+            for seq in (rec.summary, rec.input):
+                if seq is not None:
+                    assert all(sys.intern(tok) is tok for tok in seq.tokens)
 
     def test_empty_summary_allowed(self, tmp_path):
         lines = [{"id": "s1", "summary": "", "architecture": "A", "test_dataset": "d"}]

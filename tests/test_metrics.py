@@ -13,7 +13,7 @@ from repscope.metrics import (
 )
 from repscope.ngrams import build_repetition_index
 
-from oracles import corpus_from_token_lists, make_record, random_corpus
+from oracles import abstractiveness_oracle, corpus_from_token_lists, make_record, random_corpus
 
 
 def scored(corpus, **kwargs):
@@ -228,6 +228,25 @@ class TestAbstractiveness:
     def test_n_validated(self):
         with pytest.raises(ValueError):
             abstractiveness(self._mixed(), 0)
+
+    def test_oracle_equivalence_on_random_corpora(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            base = random_corpus(rng, max_summaries=30, vocab_lo=4, vocab_hi=12)
+            records = []
+            for r in base.records:
+                # a random input, sometimes holding a copied span of the summary
+                start = int(rng.integers(0, len(r.summary.tokens) + 1))
+                copied = r.summary.tokens[start : start + int(rng.integers(0, 8))]
+                noise = [f"w{v}" for v in rng.integers(0, 12, size=int(rng.integers(0, 25)))]
+                cut = int(rng.integers(0, len(noise) + 1))
+                source = noise[:cut] + list(copied) + noise[cut:]
+                records.append(make_record(r.id, r.summary.tokens, input_tokens=source))
+            corpus = Corpus(records=tuple(records), name="r")
+            for n in (1, 2, 3, 4):
+                for average in (False, True):
+                    got = abstractiveness(corpus, n, per_summary_average=average).percent_novel
+                    assert got == abstractiveness_oracle(corpus, n, per_summary_average=average)
 
 
 class TestLengthStatistics:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repscope.errors import EmptyCorpusError
 from repscope.corpus import Corpus
@@ -33,6 +35,12 @@ class TestExtractNgrams:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             extract_ngrams(list("abc"), 0)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from("abc"), max_size=10), st.integers(1, 6))
+    def test_matches_one_slice_per_position(self, seq, n):
+        # the plain loop is the reference, including sequences shorter than n
+        assert extract_ngrams(seq, n) == [tuple(seq[i : i + n]) for i in range(len(seq) - n + 1)]
 
 
 class TestBuildIndex:
