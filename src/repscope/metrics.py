@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .corpus import Corpus, SummaryRecord
 from .errors import EmptyCorpusError, MissingPairedInputError
-from .ngrams import NGram, RepetitionIndex, extract_ngrams
+from .ngrams import RepetitionIndex, extract_ngrams
 
 SCORE_MODES = ("all_ngrams", "maximal_only")
 
@@ -55,45 +55,14 @@ class LengthStats(NamedTuple):
     maximum: int
 
 
-def _repeating_types(tokens: tuple[str, ...], index: RepetitionIndex) -> list[NGram]:
-    """Distinct repeating n-gram types occurring in ``tokens``, all lengths.
-
-    Walks lengths upward; a repeating (n+1)-gram can only start where two
-    adjacent repeating n-grams start, so the walk stops as soon as a level
-    comes up empty.
-    """
-    entries = index.entries
-    found: list[NGram] = []
-    positions: list[int] | None = None
-    n = index.min_n
-    while n <= index.max_observed_n:
-        limit = len(tokens) - n + 1
-        scan = range(limit) if positions is None else positions
-        good = [p for p in scan if tokens[p : p + n] in entries]
-        if not good:
-            break
-        found.extend({tokens[p : p + n] for p in good})
-        good_set = set(good)
-        positions = [p for p in good if p + 1 in good_set]
-        if not positions:
-            break
-        n += 1
-    return found
-
-
-def _drop_nested(types: list[NGram]) -> list[NGram]:
-    type_set = set(types)
-    covered: set[NGram] = set()
-    for gram in type_set:
-        covered.add(gram[:-1])
-        covered.add(gram[1:])
-    return [gram for gram in type_set if gram not in covered]
-
-
 def summary_repetition_score(
     record: SummaryRecord, index: RepetitionIndex, *, mode: str = "all_ngrams"
 ) -> SummaryRepetitionScore:
     """Score one summary against the index it was built into.
+
+    The summary is scored as it was indexed: the terms are the ones the
+    index tallied for ``record.id`` while it was built, so the record's
+    tokens are not read again.
 
     mode "all_ngrams" counts every distinct repeating n-gram type including
     nested ones (a repeated 5-gram also contributes its two 4-grams);
@@ -104,12 +73,10 @@ def summary_repetition_score(
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
     if record.id not in index.summary_ids:
         raise ValueError(f"summary {record.id!r} was not part of the indexed corpus")
-    types = _repeating_types(record.summary.tokens, index)
-    if mode == "maximal_only":
-        types = _drop_nested(types)
-    raw_sum = sum(len(index.entries[gram]) for gram in types)
+    m_all, raw_all, m_maximal, raw_maximal = index.tallies[record.id]
+    m, raw_sum = (m_all, raw_all) if mode == "all_ngrams" else (m_maximal, raw_maximal)
     return SummaryRepetitionScore(
-        summary_id=record.id, m=len(types), raw_sum=raw_sum, score=math.log1p(raw_sum)
+        summary_id=record.id, m=m, raw_sum=raw_sum, score=math.log1p(raw_sum)
     )
 
 

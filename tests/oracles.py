@@ -105,15 +105,36 @@ def pairwise_index_oracle(corpus: Corpus, min_n: int = 4):
     return entries, max_n
 
 
-def eq1_oracle(record: SummaryRecord, oracle_entries: dict, min_n: int = 4):
-    """Direct evaluation of the per-summary score from the oracle map."""
+def eq1_oracle(
+    record: SummaryRecord, oracle_entries: dict, min_n: int = 4, *, maximal_only: bool = False
+):
+    """Direct evaluation of the per-summary score from the oracle map.
+
+    With maximal_only, a found type is dropped when it occurs as a
+    contiguous substring of a longer found type of the same summary,
+    checked as containment between the spans the types occupy.
+    """
     tokens = record.summary.tokens
-    types = set()
-    for n in range(min_n, len(tokens) + 1):
-        for i in range(len(tokens) - n + 1):
-            gram = tokens[i : i + n]
-            if gram in oracle_entries:
-                types.add(gram)
+    longest = max(map(len, oracle_entries), default=0)  # no longer window can be found
+    spans = [
+        (i, i + n)
+        for n in range(min_n, min(len(tokens), longest) + 1)
+        for i in range(len(tokens) - n + 1)
+        if tokens[i : i + n] in oracle_entries
+    ]
+    types = {tokens[i:j] for i, j in spans}
+    if maximal_only:
+        # end of the longest found span at each start; a span [i, j) lies
+        # inside a longer found span exactly when some start a <= i reaches
+        # j with a longer span
+        reach: dict[int, int] = {}
+        for i, j in spans:
+            reach[i] = max(reach.get(i, 0), j)
+        types -= {
+            tokens[i:j]
+            for i, j in spans
+            if any(reach.get(a, 0) >= j and reach[a] - a > j - i for a in range(i + 1))
+        }
     raw = sum(len(oracle_entries[g]) for g in types)
     return len(types), raw, math.log(raw + 1)
 

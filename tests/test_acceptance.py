@@ -93,6 +93,51 @@ def test_summary_scores_match_direct_oracle(indexed_random_corpora):
     )
 
 
+def test_maximal_only_scores_match_direct_oracle(indexed_random_corpora):
+    suite, _ = indexed_random_corpora
+    worst = 0.0
+    exact_fields_ok = True
+    for corpus, index, oracle_entries, _ in suite:
+        for record in corpus.records:
+            got = summary_repetition_score(record, index, mode="maximal_only")
+            m, raw, score = eq1_oracle(record, oracle_entries, maximal_only=True)
+            exact_fields_ok &= (got.m, got.raw_sum) == (m, raw)
+            worst = max(worst, abs(got.score - score))
+    report(
+        "maximal-only per-summary score oracle equivalence",
+        exact_fields_ok and worst <= 1e-12,
+        f"max |score diff| = {worst:.2e}",
+    )
+
+
+def test_dense_repeat_corpora_match_oracles():
+    """Tiny vocabularies, so nearly every short window repeats and every
+    index level is crowded; both Eq.1 modes and min_n below 4 included."""
+    rng = np.random.default_rng(20261018)
+    mismatches = 0
+    worst = 0.0
+    for i in range(90):
+        min_n = (1, 2, 4)[i % 3]
+        corpus = random_corpus(rng, max_summaries=30, max_len=40, vocab_lo=2, vocab_hi=8)
+        index = build_repetition_index(corpus, min_n)
+        oracle_entries, oracle_max = pairwise_index_oracle(corpus, min_n)
+        got = {gram: set(ids) for gram, ids in index.entries.items()}
+        mismatches += got != oracle_entries or index.max_observed_n != oracle_max
+        for record in corpus.records:
+            for maximal_only, mode in ((False, "all_ngrams"), (True, "maximal_only")):
+                score = summary_repetition_score(record, index, mode=mode)
+                m, raw, expected = eq1_oracle(
+                    record, oracle_entries, min_n, maximal_only=maximal_only
+                )
+                mismatches += (score.m, score.raw_sum) != (m, raw)
+                worst = max(worst, abs(score.score - expected))
+    report(
+        "dense-repeat corpora: index and both Eq.1 modes match the oracles",
+        mismatches == 0 and worst <= 1e-12,
+        f"mismatches: {mismatches}, max |score diff| = {worst:.2e}",
+    )
+
+
 def test_dataset_score_four_gram_equivalence(indexed_random_corpora):
     suite, _ = indexed_random_corpora
     ok = True

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repscope.errors import EmptyCorpusError
-from repscope.corpus import Corpus
+from repscope.corpus import Corpus, tokenize
+from repscope.metrics import summary_repetition_score
 from repscope.ngrams import (
     build_repetition_index,
     extract_ngrams,
@@ -15,7 +16,13 @@ from repscope.ngrams import (
     top_repeats,
 )
 
-from oracles import corpus_from_token_lists, pairwise_index_oracle, random_corpus
+from oracles import (
+    corpus_from_token_lists,
+    eq1_oracle,
+    make_record,
+    pairwise_index_oracle,
+    random_corpus,
+)
 
 
 class TestExtractNgrams:
@@ -216,3 +223,73 @@ class TestIndexProperties:
             corpus = random_corpus(rng, max_summaries=30)
             index = build_repetition_index(corpus)
             assert all(len(ids) >= 2 for ids in index.entries.values())
+
+
+class TestAdversarialCorpora:
+    """Worst cases and document-boundary cases, checked against the
+    all-pairs oracle and the direct Eq.1 scorer in both modes."""
+
+    def _check(self, corpus, min_n=4):
+        index = build_repetition_index(corpus, min_n)
+        oracle_entries, oracle_max = pairwise_index_oracle(corpus, min_n)
+        assert {g: set(ids) for g, ids in index.entries.items()} == oracle_entries
+        assert index.max_observed_n == oracle_max
+        for record in corpus.records:
+            for maximal_only, mode in ((False, "all_ngrams"), (True, "maximal_only")):
+                got = summary_repetition_score(record, index, mode=mode)
+                m, raw, score = eq1_oracle(record, oracle_entries, min_n, maximal_only=maximal_only)
+                assert (got.m, got.raw_sum) == (m, raw), (record.id, mode)
+                assert abs(got.score - score) <= 1e-12
+        return index
+
+    def test_identical_summaries(self):
+        rng = np.random.default_rng(23)
+        tokens = [f"w{v}" for v in rng.integers(0, 6, size=40)]
+        corpus = corpus_from_token_lists([tokens] * 50)
+        index = self._check(corpus)
+        assert index.max_observed_n == len(tokens)
+        assert all(len(ids) == 50 for ids in index.entries.values())
+
+    def test_one_long_summary_among_short_ones(self):
+        rng = np.random.default_rng(29)
+        long_tokens = [f"w{v}" for v in rng.integers(0, 30, size=2000)]
+        token_lists = [long_tokens]
+        for i in range(40):
+            if i % 2:
+                start = int(rng.integers(0, 1980))
+                token_lists.append(long_tokens[start : start + int(rng.integers(4, 20))])
+            else:
+                token_lists.append([f"w{v}" for v in rng.integers(0, 30, size=12)])
+        index = self._check(corpus_from_token_lists(token_lists))
+        assert index.max_observed_n >= 4
+
+    def test_empty_and_punctuation_only_summaries_interleaved(self):
+        texts = [
+            "",
+            "The cat sat on the mat, twice.",
+            "!!! ... ?",
+            "   ",
+            "the cat sat on the mat",
+            "\u2003\u00a0",
+            "!!! ... ? !!!",
+            "",
+            "and then the cat sat on the mat!",
+            "...",
+            "!!! ... ?",
+            "",
+        ]
+        records = [make_record(f"s{i}", tokenize(text).tokens) for i, text in enumerate(texts)]
+        corpus = Corpus(records=tuple(records), name="gaps")
+        for min_n in (1, 2, 4):
+            index = self._check(corpus, min_n)
+        assert tuple("the cat sat on".split()) in index.entries
+        assert ("!", "!", "!", ".") in index.entries
+
+    def test_windows_do_not_cross_summaries(self):
+        # laid end to end, s0 and s1 spell "a b c d" across their boundary
+        corpus = corpus_from_token_lists(
+            [("s0", ["a", "b"]), ("s1", ["c", "d"]), ("s2", list("abcd")), ("s3", list("abcd"))]
+        )
+        for min_n in (1, 2, 4):
+            index = self._check(corpus, min_n)
+            assert index.entries[tuple("abcd")] == frozenset({"s2", "s3"})
