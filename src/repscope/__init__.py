@@ -15,7 +15,6 @@ from .corpus import (
     TokenizerConfig,
     TokenSequence,
     load_corpus,
-    save_corpus,
     tokenize,
 )
 from .errors import (
@@ -45,7 +44,6 @@ from .ngrams import (
     build_repetition_index,
     extract_ngrams,
     index_export_lines,
-    repeat_count,
     top_repeats,
 )
 from .regression import (
@@ -97,8 +95,6 @@ __all__ = [
     "load_config",
     "load_corpus",
     "ols_fit",
-    "repeat_count",
-    "save_corpus",
     "summary_repetition_score",
     "t_critical",
     "t_two_sided_p",

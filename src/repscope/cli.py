@@ -31,6 +31,8 @@ from .ngrams import build_repetition_index, index_export_lines, top_repeats
 from .regression import build_design_matrix, likelihood_ratio_test, ols_fit
 from . import reports
 
+MANIFEST = "run_manifest.json"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -124,24 +126,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def effective_config(args: argparse.Namespace) -> AnalysisConfig:
+    """The config file (or the defaults) with every flag given applied."""
     config = load_config(args.config) if args.config else AnalysisConfig()
+    formats = None
+    if args.formats is not None:
+        formats = tuple(sorted({f.strip() for f in args.formats.split(",") if f.strip()}))
+    interactions = False if getattr(args, "no_interactions", False) else None
     try:
-        tokenizer = config.tokenizer
-        if args.tokenizer_case_fold is not None:
-            tokenizer = replace(tokenizer, case_fold=args.tokenizer_case_fold)
-        if args.tokenizer_punctuation is not None:
-            tokenizer = replace(tokenizer, punctuation_mode=args.tokenizer_punctuation)
-        regression = config.regression
-        if getattr(args, "no_interactions", False):
-            regression = replace(regression, include_interactions=False)
-        if getattr(args, "confidence", None) is not None:
-            regression = replace(regression, confidence_level=args.confidence)
-        formats = config.output_formats
-        if args.formats is not None:
-            formats = tuple(sorted({f.strip() for f in args.formats.split(",") if f.strip()}))
-        return config.with_overrides(
-            tokenizer=tokenizer,
-            regression=regression,
+        return _replace_given(
+            config,
+            tokenizer=_replace_given(
+                config.tokenizer,
+                case_fold=args.tokenizer_case_fold,
+                punctuation_mode=args.tokenizer_punctuation,
+            ),
+            regression=_replace_given(
+                config.regression,
+                include_interactions=interactions,
+                confidence_level=getattr(args, "confidence", None),
+            ),
             min_n=args.min_n,
             eq1_mode=args.eq1_mode,
             output_dir=args.output_dir,
@@ -151,18 +154,23 @@ def effective_config(args: argparse.Namespace) -> AnalysisConfig:
         raise InputError(str(exc)) from exc
 
 
-def _worker_count(n_tasks: int) -> int:
+def _replace_given(obj, **changes):
+    """``dataclasses.replace`` with the changes whose flag was given (not None)."""
+    return replace(obj, **{k: v for k, v in changes.items() if v is not None})
+
+
+def _check_threads_env() -> None:
+    """Validate REPSCOPE_THREADS. Scoring is serial, so the value is never
+    used, but the variable is documented: a bad value still exits 1."""
     env = os.environ.get("REPSCOPE_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InputError(f"REPSCOPE_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise InputError(f"REPSCOPE_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
+    if not env:
+        return
+    try:
+        cap = int(env)
+    except ValueError:
+        raise InputError(f"REPSCOPE_THREADS must be an integer, got {env!r}")
+    if cap < 1:
+        raise InputError(f"REPSCOPE_THREADS must be >= 1, got {cap}")
 
 
 def _load_corpora(paths: list[str], tokenizer: TokenizerConfig) -> list[Corpus]:
@@ -195,9 +203,17 @@ def _score_corpus(corpus: Corpus, config: AnalysisConfig):
 
 def _score_corpora(corpora: list[Corpus], config: AnalysisConfig):
     # Serial: scoring is pure Python, so threads only contend for the GIL.
-    # REPSCOPE_THREADS is still validated, so a bad value exits 1 as documented.
-    _worker_count(len(corpora))
+    _check_threads_env()
     return [_score_corpus(c, config) for c in corpora]
+
+
+def _remove_manifest(path: Path) -> None:
+    """Delete an earlier run's manifest, so that a run that fails leaves none
+    listing files it did not write; ``_Run.finish`` writes the new one last."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot remove the old manifest: {exc.strerror or exc}") from exc
 
 
 class _Run:
@@ -234,7 +250,7 @@ class _Run:
             "outputs": sorted(self.outputs),
             "notes": self.notes,
         }
-        (self.output_dir / "run_manifest.json").write_text(
+        (self.output_dir / MANIFEST).write_text(
             reports.canonical_json(manifest), encoding="utf-8"
         )
 
@@ -400,6 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = effective_config(args)
+        _remove_manifest(Path(config.output_dir) / MANIFEST)
         return args.func(args, config)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,12 +2,15 @@
 
 A config fully determines an analysis: feeding the same config and the
 same input files to any command reproduces its reports byte for byte.
+The settings are the fields of ``AnalysisConfig`` and of its sections,
+``TokenizerConfig`` and ``RegressionSpec``; the JSON form mirrors them, and
+each dataclass validates its own fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .corpus import TokenizerConfig
@@ -29,89 +32,60 @@ class AnalysisConfig:
     output_formats: tuple[str, ...] = OUTPUT_FORMATS
 
     def __post_init__(self):
-        if self.min_n < 1:
-            raise ValueError(f"min_n must be >= 1, got {self.min_n}")
+        if not _is_int(self.min_n) or self.min_n < 1:
+            raise ValueError(f"min_n must be an integer >= 1, got {self.min_n!r}")
         if self.eq1_mode not in SCORE_MODES:
             raise ValueError(f"eq1_mode must be one of {SCORE_MODES}, got {self.eq1_mode!r}")
-        if not self.abstractiveness_ns or any(n < 1 for n in self.abstractiveness_ns):
-            raise ValueError("abstractiveness_ns must be a non-empty list of integers >= 1")
+        ns = self.abstractiveness_ns
+        if not isinstance(ns, tuple) or not ns or not all(_is_int(n) and n >= 1 for n in ns):
+            raise ValueError(
+                f"abstractiveness_ns must be a non-empty list of integers >= 1, got {ns!r}"
+            )
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not isinstance(self.output_formats, tuple) or not self.output_formats:
+            raise ValueError(
+                f"output_formats must be a non-empty list, got {self.output_formats!r}"
+            )
         unknown = [f for f in self.output_formats if f not in OUTPUT_FORMATS]
         if unknown:
             raise ValueError(f"unknown output format(s): {unknown}; choose from {OUTPUT_FORMATS}")
-        if not self.output_formats:
-            raise ValueError("output_formats must not be empty")
 
     def to_dict(self) -> dict:
-        return {
-            "tokenizer": {
-                "case_fold": self.tokenizer.case_fold,
-                "punctuation_mode": self.tokenizer.punctuation_mode,
-            },
-            "min_n": self.min_n,
-            "eq1_mode": self.eq1_mode,
-            "abstractiveness_ns": list(self.abstractiveness_ns),
-            "regression": {
-                "reference_architecture": self.regression.reference_architecture,
-                "reference_train": self.regression.reference_train,
-                "reference_test": self.regression.reference_test,
-                "include_interactions": self.regression.include_interactions,
-                "confidence_level": self.regression.confidence_level,
-                "lr_critical_value": self.regression.lr_critical_value,
-                "human_train_from_test": self.regression.human_train_from_test,
-            },
-            "output_dir": self.output_dir,
-            "output_formats": sorted(self.output_formats),
-        }
+        data = asdict(self)
+        data["output_formats"] = sorted(self.output_formats)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        defaults = cls()
-        tok = data.get("tokenizer", {})
-        reg = data.get("regression", {})
+        """Build a config from its JSON form, as ``to_dict`` or a config
+        file gives it. Missing keys take their defaults; unknown keys and
+        wrongly typed values raise ``ValueError``."""
         try:
-            return cls(
-                tokenizer=TokenizerConfig(
-                    case_fold=tok.get("case_fold", defaults.tokenizer.case_fold),
-                    punctuation_mode=tok.get(
-                        "punctuation_mode", defaults.tokenizer.punctuation_mode
-                    ),
-                ),
-                min_n=data.get("min_n", defaults.min_n),
-                eq1_mode=data.get("eq1_mode", defaults.eq1_mode),
-                abstractiveness_ns=tuple(
-                    data.get("abstractiveness_ns", defaults.abstractiveness_ns)
-                ),
-                regression=RegressionSpec(
-                    reference_architecture=reg.get(
-                        "reference_architecture", defaults.regression.reference_architecture
-                    ),
-                    reference_train=reg.get("reference_train", defaults.regression.reference_train),
-                    reference_test=reg.get("reference_test", defaults.regression.reference_test),
-                    include_interactions=reg.get(
-                        "include_interactions", defaults.regression.include_interactions
-                    ),
-                    confidence_level=reg.get(
-                        "confidence_level", defaults.regression.confidence_level
-                    ),
-                    lr_critical_value=reg.get(
-                        "lr_critical_value", defaults.regression.lr_critical_value
-                    ),
-                    human_train_from_test=reg.get(
-                        "human_train_from_test", defaults.regression.human_train_from_test
-                    ),
-                ),
-                output_dir=data.get("output_dir", defaults.output_dir),
-                output_formats=tuple(data.get("output_formats", defaults.output_formats)),
-            )
+            kwargs = _kwargs(cls, data, "config")
+            # a field whose default is a dataclass is a nested section
+            for f in fields(cls):
+                if f.name in data and is_dataclass(f.default):
+                    section = type(f.default)
+                    kwargs[f.name] = section(**_kwargs(section, data[f.name], f.name))
+            return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid config: {exc}") from exc
 
-    def with_overrides(self, **kwargs) -> "AnalysisConfig":
-        """Copy with top-level fields replaced; None values are ignored."""
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **updates) if updates else self
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _kwargs(cls, data, where: str) -> dict:
+    """Keyword arguments for ``cls`` from a JSON object; lists become tuples."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(k for k in data if k not in known)
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
 def load_config(path: str | Path) -> AnalysisConfig:

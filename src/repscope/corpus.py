@@ -12,7 +12,6 @@ import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .errors import CorpusLoadError, InputError
 
@@ -33,6 +32,8 @@ class TokenizerConfig:
     punctuation_mode: str = "split"
 
     def __post_init__(self):
+        if not isinstance(self.case_fold, bool):
+            raise ValueError(f"case_fold must be true or false, got {self.case_fold!r}")
         if self.punctuation_mode not in ("split", "attached"):
             raise ValueError(
                 f"punctuation_mode must be 'split' or 'attached', got {self.punctuation_mode!r}"
@@ -45,10 +46,6 @@ class TokenSequence:
 
     tokens: tuple[str, ...]
     text: str
-
-    @property
-    def source_char_count(self) -> int:
-        return len(self.text)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -136,6 +133,8 @@ class Corpus:
     name: str = ""
 
     def __post_init__(self):
+        # load_corpus checks ids first to name the lines; this guards a
+        # Corpus built in code
         seen: set[str] = set()
         for rec in self.records:
             if rec.id in seen:
@@ -176,21 +175,16 @@ def load_corpus(
     config: TokenizerConfig | None = None,
     *,
     name: str | None = None,
-    allowed_architectures: Iterable[str] | None = None,
-    allowed_datasets: Iterable[str] | None = None,
 ) -> Corpus:
     """Load a JSON-Lines corpus file, one summary record per line.
 
     Each line is an object with required fields "id", "summary",
     "architecture", "test_dataset" and optional "input", "train_dataset".
     Blank lines are skipped. Errors report the file and line number.
-    The optional whitelists reject unknown categorical labels.
     """
     if config is None:
         config = TokenizerConfig()
     path = Path(path)
-    arch_whitelist = set(allowed_architectures) if allowed_architectures is not None else None
-    ds_whitelist = set(allowed_datasets) if allowed_datasets is not None else None
     records: list[SummaryRecord] = []
     seen_ids: dict[str, int] = {}
     memo: dict[str, tuple[str, ...]] = {}  # unit -> tokens, shared by every text in the file
@@ -218,37 +212,6 @@ def load_corpus(
                     f"(first seen on line {seen_ids[record.id]})"
                 )
             seen_ids[record.id] = lineno
-            if arch_whitelist is not None and record.architecture not in arch_whitelist:
-                raise CorpusLoadError(
-                    f"{path}:{lineno}: unknown architecture label {record.architecture!r}"
-                )
-            if ds_whitelist is not None:
-                for label in (record.train_dataset, record.test_dataset):
-                    if label is not None and label not in ds_whitelist:
-                        raise CorpusLoadError(
-                            f"{path}:{lineno}: unknown dataset label {label!r}"
-                        )
             records.append(record)
     return Corpus(records=tuple(records), name=name if name is not None else path.stem)
 
-
-def record_to_object(record: SummaryRecord) -> dict:
-    """Serialize a record back to its JSON-Lines object form."""
-    obj: dict = {"id": record.id, "summary": record.summary.text}
-    if record.input is not None:
-        obj["input"] = record.input.text
-    obj["architecture"] = record.architecture
-    if record.train_dataset is not None:
-        obj["train_dataset"] = record.train_dataset
-    obj["test_dataset"] = record.test_dataset
-    return obj
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus as JSON-Lines; reloading under the same tokenizer
-    configuration reproduces the records exactly."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in corpus.records:
-            fh.write(json.dumps(record_to_object(record), ensure_ascii=False))
-            fh.write("\n")

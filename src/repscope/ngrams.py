@@ -198,13 +198,6 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     )
 
 
-def repeat_count(index: RepetitionIndex, gram: Sequence[str]) -> int:
-    """Number of summaries containing ``gram``; 0 when it repeats in fewer
-    than two summaries or is shorter than the indexed minimum length."""
-    ids = index.entries.get(tuple(gram))
-    return len(ids) if ids is not None else 0
-
-
 class RepeatRow(NamedTuple):
     ngram: NGram
     count: int

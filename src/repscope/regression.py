@@ -44,6 +44,15 @@ class RegressionSpec:
     human_train_from_test: bool = False
 
     def __post_init__(self):
+        for name in ("reference_architecture", "reference_train", "reference_test"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("include_interactions", "human_train_from_test"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in ("confidence_level", "lr_critical_value"):
+            if not isinstance(getattr(self, name), (int, float)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 < self.confidence_level < 1.0:
             raise ValueError(f"confidence_level must be in (0, 1), got {self.confidence_level}")
         if not 0.0 < self.lr_critical_value < 1.0:

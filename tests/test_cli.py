@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 from repscope.cli import main
 from repscope.config import AnalysisConfig
+from repscope.corpus import TokenizerConfig
+from repscope.regression import RegressionSpec
 
 from conftest import write_jsonl
 
@@ -319,6 +322,97 @@ class TestConfigHandling:
         assert reloaded == AnalysisConfig.from_dict(reloaded.to_dict())
         assert {entry["path"] for entry in manifest["inputs"]} == set(fixture_corpora)
         assert all(len(entry["sha256"]) == 64 for entry in manifest["inputs"])
+        # the manifest's config block, fed back as a config file, reproduces
+        # the manifest byte for byte
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(manifest["config"]))
+        first = (out / "run_manifest.json").read_bytes()
+        assert main(["score", *fixture_corpora, "--config", str(config_path)]) == 0
+        assert (out / "run_manifest.json").read_bytes() == first
+
+        changed = AnalysisConfig(
+            tokenizer=TokenizerConfig(case_fold=False, punctuation_mode="attached"),
+            min_n=5,
+            eq1_mode="maximal_only",
+            abstractiveness_ns=(2, 3),
+            regression=RegressionSpec(
+                reference_architecture="BART",
+                reference_train="XSum",
+                reference_test="XSum",
+                include_interactions=False,
+                confidence_level=0.9,
+                lr_critical_value=0.01,
+                human_train_from_test=True,
+            ),
+            output_dir="elsewhere",
+            output_formats=("csv", "json"),
+        )
+        default = AnalysisConfig()
+        for section in (None, "tokenizer", "regression"):
+            ours = getattr(changed, section) if section else changed
+            theirs = getattr(default, section) if section else default
+            for field in dataclasses.fields(ours):
+                assert getattr(ours, field.name) != getattr(theirs, field.name), field.name
+        assert AnalysisConfig.from_dict(changed.to_dict()) == changed
+        assert AnalysisConfig.from_dict(json.loads(json.dumps(changed.to_dict()))) == changed
+
+    def test_default_manifest_config_pinned(self, tmp_path, monkeypatch):
+        # bench/digests.json skips run_manifest.json, so the config's JSON
+        # form is pinned here: the hash for the default config written to
+        # the relative --output-dir "reports"
+        monkeypatch.chdir(tmp_path)
+        write_jsonl(tmp_path / "toy.jsonl", [
+            {"id": "s1", "summary": "a b c d", "architecture": "Human", "test_dataset": "d"},
+        ])
+        assert main(["score", "toy.jsonl", "--output-dir", "reports"]) == 0
+        manifest = json.loads((tmp_path / "reports" / "run_manifest.json").read_text())
+        assert manifest["config_sha256"] == (
+            "46c2c2785f833ad5b3a65e2b7a4a2ac610e911679fe68ae65a7341de00fadd8e"
+        )
+
+    @pytest.mark.parametrize("config, key", [
+        ({"tokenizer": 5}, "tokenizer"),
+        ({"regression": []}, "regression"),
+        ({"regression": {"include_interactions": "false"}}, "include_interactions"),
+        ({"tokenizer": {"case_fold": "no"}}, "case_fold"),
+        ({"min_nn": 7}, "'min_nn'"),
+        ({"regression": {"confidence": 0.9}}, "'confidence'"),
+        ({"min_n": 4.0}, "min_n"),
+        ({"min_n": True}, "min_n"),
+        ({"abstractiveness_ns": [1.5]}, "abstractiveness_ns"),
+        ({"abstractiveness_ns": [True, 2]}, "abstractiveness_ns"),
+        ({"output_formats": "csv"}, "output_formats"),
+    ])
+    def test_malformed_config_exits_1_naming_key(
+        self, fixture_corpora, tmp_path, capsys, config, key
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = main(["report-all", *fixture_corpora, "--config", str(config_path),
+                     "--output-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(error_lines) == 1 and key in error_lines[0], err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_failed_run_leaves_no_stale_manifest(self, fixture_corpora, tmp_path):
+        out = tmp_path / "o"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{broken\n")
+        only_bart = write_jsonl(tmp_path / "only_bart.jsonl", [
+            {"id": f"s{i}", "summary": f"one two three four five w{i}",
+             "architecture": "BART", "train_dataset": "CNN/DailyMail",
+             "test_dataset": "CNN/DailyMail"}
+            for i in range(6)
+        ])
+        for failing, code in ((["score", str(bad)], 1), (["regress", str(only_bart)], 2)):
+            assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 0
+            assert (out / "run_manifest.json").exists()
+            assert main([*failing, "--output-dir", str(out)]) == code
+            assert not (out / "run_manifest.json").exists()
 
     def test_invalid_config_file_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

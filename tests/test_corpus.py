@@ -12,7 +12,6 @@ from repscope.corpus import (
     TokenSequence,
     _split_unit,
     load_corpus,
-    save_corpus,
     tokenize,
 )
 from repscope.errors import CorpusLoadError, InputError
@@ -87,10 +86,6 @@ class TestTokenize:
 
     def test_all_punctuation_token(self):
         assert list(tokenize("...").tokens) == [".", ".", "."]
-
-    def test_source_char_count(self):
-        raw = "Some raw text, kept verbatim."
-        assert tokenize(raw).source_char_count == len(raw)
 
     def test_bad_punctuation_mode(self):
         with pytest.raises(ValueError):
@@ -220,29 +215,6 @@ class TestLoadCorpus:
         path = write_jsonl(tmp_path / "c.jsonl", lines)
         with pytest.raises(CorpusLoadError, match=r"c\.jsonl:3"):
             load_corpus(path)
-
-    def test_architecture_whitelist(self, tmp_path):
-        path = write_jsonl(tmp_path / "c.jsonl", self._lines())
-        with pytest.raises(CorpusLoadError, match="unknown architecture label 'T5'"):
-            load_corpus(path, allowed_architectures={"BART", "Human"})
-
-    def test_dataset_whitelist(self, tmp_path):
-        path = write_jsonl(tmp_path / "c.jsonl", self._lines())
-        with pytest.raises(CorpusLoadError, match="unknown dataset label"):
-            load_corpus(path, allowed_datasets={"y"})
-        corpus = load_corpus(path, allowed_datasets={"x", "y"})
-        assert len(corpus) == 3
-
-    def test_round_trip(self, tmp_path):
-        lines = self._lines()
-        lines[0]["input"] = "Original document text, with Punctuation!"
-        path = write_jsonl(tmp_path / "c.jsonl", lines)
-        config = TokenizerConfig()
-        corpus = load_corpus(path, config)
-        out = tmp_path / "copy.jsonl"
-        save_corpus(corpus, out)
-        reloaded = load_corpus(out, config, name=corpus.name)
-        assert reloaded == corpus
 
     def test_token_count_aggregates(self, tmp_path):
         path = write_jsonl(tmp_path / "c.jsonl", self._lines())

@@ -12,7 +12,6 @@ from repscope.ngrams import (
     build_repetition_index,
     extract_ngrams,
     index_export_lines,
-    repeat_count,
     top_repeats,
 )
 
@@ -101,24 +100,6 @@ class TestBuildIndex:
         index = build_repetition_index(corpus, min_n=2)
         assert tuple("ab") in index.entries
         assert index.min_n == 2
-
-
-class TestRepeatCount:
-    def _index(self):
-        return build_repetition_index(
-            corpus_from_token_lists(
-                [("s1", list("abcd")), ("s2", list("abcd")), ("s3", list("abcd"))]
-            )
-        )
-
-    def test_retained(self):
-        assert repeat_count(self._index(), tuple("abcd")) == 3
-
-    def test_non_repeating(self):
-        assert repeat_count(self._index(), tuple("zzzz")) == 0
-
-    def test_shorter_than_min_n(self):
-        assert repeat_count(self._index(), tuple("abc")) == 0
 
 
 class TestTopRepeats:
