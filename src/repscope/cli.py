@@ -194,17 +194,14 @@ def _load_corpora(paths: list[str], tokenizer: TokenizerConfig) -> list[Corpus]:
 
 
 def _score_corpus(corpus: Corpus, config: AnalysisConfig):
+    # Corpora are scored one at a time: scoring is pure Python, so threads
+    # would only contend for the GIL.
     index = build_repetition_index(corpus, config.min_n)
     summaries = [
         summary_repetition_score(rec, index, mode=config.eq1_mode) for rec in corpus.records
     ]
     dataset = dataset_repetition_score(corpus, index)
     return index, summaries, dataset
-
-def _score_corpora(corpora: list[Corpus], config: AnalysisConfig):
-    # Serial: scoring is pure Python, so threads only contend for the GIL.
-    _check_threads_env()
-    return [_score_corpus(c, config) for c in corpora]
 
 
 def _remove_manifest(path: Path) -> None:
@@ -279,16 +276,13 @@ def _emit_lengths(run: _Run, corpora: list[Corpus]) -> None:
 
 
 def _emit_repeats(run: _Run, corpus: Corpus, index, limit: int, min_count: int, with_ids: bool, *, suffix: str = "") -> None:
-    rows = top_repeats(index, limit, min_count) if index.entries else []
+    rows = top_repeats(index, limit, min_count)
     by_id = {rec.id: rec for rec in corpus.records}
     examples = {}
     for row in rows:
         first_id = min(index.entries[row.ngram])
         examples[row.ngram] = (first_id, by_id[first_id].summary.text)
-    export = "".join(
-        line + "\n"
-        for line in index_export_lines(index, limit=limit, min_count=min_count, with_ids=with_ids)
-    )
+    export = "".join(line + "\n" for line in index_export_lines(index, rows, with_ids=with_ids))
     run.write(f"repeats{suffix}.jsonl", export)
     formats = run.config.output_formats
     if "csv" in formats:
@@ -348,7 +342,7 @@ def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
 def cmd_score(args: argparse.Namespace, config: AnalysisConfig) -> int:
     corpora = _load_corpora(args.corpora, config.tokenizer)
     run = _Run("score", config, args.corpora)
-    scored = _score_corpora(corpora, config)
+    scored = [_score_corpus(c, config) for c in corpora]
     _emit_dataset_scores(run, [dataset for (_, _, dataset) in scored])
     _emit_lengths(run, corpora)
     for corpus, (_, summaries, _) in zip(corpora, scored):
@@ -379,7 +373,7 @@ def cmd_abstractiveness(args: argparse.Namespace, config: AnalysisConfig) -> int
 def cmd_regress(args: argparse.Namespace, config: AnalysisConfig) -> int:
     corpora = _load_corpora(args.corpora, config.tokenizer)
     run = _Run("regress", config, args.corpora)
-    scored = _score_corpora(corpora, config)
+    scored = [_score_corpus(c, config) for c in corpora]
     _emit_regression(run, corpora, scored)
     run.finish()
     return 0
@@ -390,7 +384,7 @@ def cmd_report_all(args: argparse.Namespace, config: AnalysisConfig) -> int:
         raise InputError(f"--limit must be >= 1, got {args.limit}")
     corpora = _load_corpora(args.corpora, config.tokenizer)
     run = _Run("report-all", config, args.corpora)
-    scored = _score_corpora(corpora, config)
+    scored = [_score_corpus(c, config) for c in corpora]
     _emit_dataset_scores(run, [dataset for (_, _, dataset) in scored])
     _emit_lengths(run, corpora)
     for corpus, (index, summaries, _) in zip(corpora, scored):
@@ -415,6 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_threads_env()
         config = effective_config(args)
         _remove_manifest(Path(config.output_dir) / MANIFEST)
         return args.func(args, config)

@@ -50,6 +50,10 @@ class AnalysisConfig:
         unknown = [f for f in self.output_formats if f not in OUTPUT_FORMATS]
         if unknown:
             raise ValueError(f"unknown output format(s): {unknown}; choose from {OUTPUT_FORMATS}")
+        for name in ("abstractiveness_ns", "output_formats"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {list(values)!r}")
 
     def to_dict(self) -> dict:
         data = asdict(self)

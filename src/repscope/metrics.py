@@ -71,7 +71,7 @@ def summary_repetition_score(
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
-    if record.id not in index.summary_ids:
+    if record.id not in index.tallies:
         raise ValueError(f"summary {record.id!r} was not part of the indexed corpus")
     m_all, raw_all, m_maximal, raw_maximal = index.tallies[record.id]
     m, raw_sum = (m_all, raw_all) if mode == "all_ngrams" else (m_maximal, raw_maximal)
@@ -81,20 +81,19 @@ def summary_repetition_score(
 
 
 def dataset_repetition_score(corpus: Corpus, index: RepetitionIndex) -> DatasetRepetitionScore:
-    """Fraction of summaries containing at least one repeating n-gram."""
+    """Fraction of summaries containing at least one repeating n-gram, read
+    from the Eq.1 tallies: a summary repeats exactly when its m is above 0."""
     if not corpus.records:
         raise EmptyCorpusError(f"corpus {corpus.name!r} has no records to score")
-    if index.summary_ids != corpus.ids():
+    if index.tallies.keys() != corpus.ids():
         raise ValueError("index was not built over this corpus")
-    repeating: set[str] = set()
-    for ids in index.entries.values():
-        repeating.update(ids)
+    repeating = sum(1 for m, _, _, _ in index.tallies.values() if m)
     total = len(corpus.records)
     return DatasetRepetitionScore(
         dataset=corpus.name,
-        repeating_summaries=len(repeating),
+        repeating_summaries=repeating,
         total_summaries=total,
-        score=len(repeating) / total,
+        score=repeating / total,
     )
 
 

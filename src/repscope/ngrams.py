@@ -38,20 +38,18 @@ class RepetitionIndex:
     """Repeating n-grams of one corpus, keyed by exact token identity.
 
     Every entry's id set has size >= 2. max_observed_n is the longest
-    length with any repeat (0 when the index is empty). summary_ids
-    records which summaries were indexed so score lookups can reject
-    records from other corpora. tallies holds, for every indexed summary
-    id, its Eq.1 terms as counted while the index was built:
-    (m, raw_sum) over all of its distinct repeating types, then (m,
-    raw_sum) over only the types not contained in a longer repeating type
-    of the same summary.
+    length with any repeat (0 when the index is empty). tallies is keyed
+    by every indexed summary id, so score lookups can reject records from
+    other corpora; each value holds the summary's Eq.1 terms as counted
+    while the index was built: (m, raw_sum) over all of its distinct
+    repeating types, then (m, raw_sum) over only the types not contained in
+    a longer repeating type of the same summary.
     """
 
     entries: dict[NGram, frozenset[str]]
     min_n: int
     max_observed_n: int
     corpus_size: int
-    summary_ids: frozenset[str]
     tallies: dict[str, tuple[int, int, int, int]]
 
     def __len__(self) -> int:
@@ -193,7 +191,6 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
         min_n=min_n,
         max_observed_n=max_observed,
         corpus_size=n_docs,
-        summary_ids=frozenset(summary_ids),
         tallies=tallies,
     )
 
@@ -216,18 +213,12 @@ def top_repeats(index: RepetitionIndex, limit: int, min_count: int = 2) -> list[
 
 
 def index_export_lines(
-    index: RepetitionIndex,
-    *,
-    limit: int | None = None,
-    min_count: int = 2,
-    with_ids: bool = False,
+    index: RepetitionIndex, rows: Sequence[RepeatRow], *, with_ids: bool = False
 ) -> Iterator[str]:
-    """JSON-Lines export of the index, one object per repeating n-gram, in
-    top_repeats order. Containing summary ids are included only on request."""
-    if not index.entries:
-        return
-    effective_limit = len(index.entries) if limit is None else limit
-    for row in top_repeats(index, effective_limit, min_count):
+    """JSON-Lines export of the given rows of the index (as top_repeats
+    returned them), one object per n-gram. Containing summary ids are
+    included only on request."""
+    for row in rows:
         obj: dict = {"ngram": list(row.ngram), "n": len(row.ngram), "count": row.count}
         if with_ids:
             obj["ids"] = sorted(index.entries[row.ngram])

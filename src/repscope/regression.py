@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .corpus import SummaryRecord
 from .errors import DegenerateDesignError, RankDeficiencyError
@@ -207,6 +206,9 @@ def ols_fit(design: DesignMatrix, *, confidence_level: float = 0.95) -> Regressi
     better than explicit normal equations; rank deficiency is an error that
     names the dependent columns rather than a silent pseudo-inverse.
     """
+    # imported here so that only fitting pays for loading scipy
+    import scipy.linalg
+
     X = design.matrix
     y = design.response
     n, p = X.shape

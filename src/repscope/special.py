@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
 _EPS = 1e-16
 _TINY = 1e-300
 _MAX_ITER = 200000
@@ -255,6 +253,9 @@ def chi2_sf(x: float, df: float) -> float:
 
 def t_critical(confidence_level: float, df: float) -> float:
     """Positive t with two-sided tail mass 1 - confidence_level."""
+    # imported here so that only fitting pays for loading scipy
+    from scipy.optimize import brentq
+
     if not 0.0 < confidence_level < 1.0:
         raise ValueError(f"confidence_level must be in (0, 1), got {confidence_level}")
     alpha = 1.0 - confidence_level

@@ -1,8 +1,11 @@
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
+
+import repscope
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -57,6 +60,18 @@ def write_jsonl(path: Path, objects) -> Path:
         for obj in objects:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
     return path
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child Python process that must import the package
+    this test session imported: a relative PYTHONPATH (such as `src`) would
+    not resolve from the child's working directory."""
+    env = dict(os.environ)
+    package_root = str(Path(repscope.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repscope
 from repscope.corpus import Corpus, SummaryRecord, TokenSequence, load_corpus
 from repscope.metrics import abstractiveness, dataset_repetition_score, summary_repetition_score
 from repscope.ngrams import build_repetition_index
@@ -28,7 +27,13 @@ from repscope.regression import (
 )
 from repscope.special import chi2_sf, t_two_sided_p
 
-from conftest import BART_IN_DOMAIN_LINES, BART_SHIFTED_LINES, HUMAN_LINES, write_jsonl
+from conftest import (
+    BART_IN_DOMAIN_LINES,
+    BART_SHIFTED_LINES,
+    HUMAN_LINES,
+    child_env,
+    write_jsonl,
+)
 from oracles import (
     chi2_sf_quad,
     eq1_oracle,
@@ -112,7 +117,8 @@ def test_maximal_only_scores_match_direct_oracle(indexed_random_corpora):
 
 def test_dense_repeat_corpora_match_oracles():
     """Tiny vocabularies, so nearly every short window repeats and every
-    index level is crowded; both Eq.1 modes and min_n below 4 included."""
+    index level is crowded; both Eq.1 modes, the dataset score and min_n
+    below 4 included."""
     rng = np.random.default_rng(20261018)
     mismatches = 0
     worst = 0.0
@@ -123,6 +129,9 @@ def test_dense_repeat_corpora_match_oracles():
         oracle_entries, oracle_max = pairwise_index_oracle(corpus, min_n)
         got = {gram: set(ids) for gram, ids in index.entries.items()}
         mismatches += got != oracle_entries or index.max_observed_n != oracle_max
+        repeating = set().union(*oracle_entries.values())
+        dataset = dataset_repetition_score(corpus, index)
+        mismatches += dataset.repeating_summaries != len(repeating)
         for record in corpus.records:
             for maximal_only, mode in ((False, "all_ngrams"), (True, "maximal_only")):
                 score = summary_repetition_score(record, index, mode=mode)
@@ -132,7 +141,7 @@ def test_dense_repeat_corpora_match_oracles():
                 mismatches += (score.m, score.raw_sum) != (m, raw)
                 worst = max(worst, abs(score.score - expected))
     report(
-        "dense-repeat corpora: index and both Eq.1 modes match the oracles",
+        "dense-repeat corpora: index, both Eq.1 modes and dataset score match the oracles",
         mismatches == 0 and worst <= 1e-12,
         f"mismatches: {mismatches}, max |score diff| = {worst:.2e}",
     )
@@ -319,13 +328,7 @@ def test_report_all_determinism_across_processes(tmp_path):
         sys.executable, "-m", "repscope.cli", "report-all",
         *[p.name for p in paths], "--output-dir", "reports",
     ]
-    # The child must import the package this test imported; a relative
-    # PYTHONPATH (such as `src`) would not resolve from cwd=tmp_path.
-    env = dict(os.environ)
-    package_root = str(Path(repscope.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = child_env()
     snapshots = []
     for _ in range(2):
         proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)

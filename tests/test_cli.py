@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from repscope.config import AnalysisConfig
 from repscope.corpus import TokenizerConfig
 from repscope.regression import RegressionSpec
 
-from conftest import write_jsonl
+from conftest import child_env, write_jsonl
 
 
 def read_csv(path):
@@ -382,6 +384,8 @@ class TestConfigHandling:
         ({"abstractiveness_ns": [1.5]}, "abstractiveness_ns"),
         ({"abstractiveness_ns": [True, 2]}, "abstractiveness_ns"),
         ({"output_formats": "csv"}, "output_formats"),
+        ({"abstractiveness_ns": [2, 2]}, "abstractiveness_ns"),
+        ({"output_formats": ["csv", "csv"]}, "output_formats"),
     ])
     def test_malformed_config_exits_1_naming_key(
         self, fixture_corpora, tmp_path, capsys, config, key
@@ -451,9 +455,16 @@ class TestConfigHandling:
         assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 0
         assert dir_snapshot(out) == serial
 
-    def test_invalid_threads_env_exits_1(self, fixture_corpora, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "command", ["score", "repeats", "abstractiveness", "regress", "report-all"]
+    )
+    def test_invalid_threads_env_exits_1(
+        self, fixture_corpora, tmp_path, monkeypatch, capsys, command
+    ):
         monkeypatch.setenv("REPSCOPE_THREADS", "many")
-        code = main(["score", *fixture_corpora, "--output-dir", str(tmp_path / "o")])
+        one_corpus = command in ("repeats", "abstractiveness")
+        corpora = fixture_corpora[:1] if one_corpus else fixture_corpora
+        code = main([command, *corpora, "--output-dir", str(tmp_path / "o")])
         assert code == 1
         assert "REPSCOPE_THREADS" in capsys.readouterr().err
 
@@ -483,3 +494,33 @@ class TestReportAll:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert any("abstractiveness skipped" in note for note in manifest["notes"])
         assert any("regression skipped" in note for note in manifest["notes"])
+
+
+# Runs the commands that do not fit, then regress, in one fresh interpreter,
+# and prints the scipy modules loaded after each phase.
+SCIPY_CHILD = """
+import json, sys
+from repscope.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+corpora = sys.argv[1:]
+for argv in (["score", *corpora], ["repeats", corpora[0]], ["abstractiveness", corpora[0]]):
+    assert main([*argv, "--output-dir", "out"]) == 0, argv
+print(json.dumps(scipy_modules()))
+assert main(["regress", *corpora, "--output-dir", "out"]) == 0
+print(json.dumps(scipy_modules()))
+"""
+
+
+class TestStartup:
+    def test_only_fitting_loads_scipy(self, fixture_corpora, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_CHILD, *fixture_corpora],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before_fit, after_fit = map(json.loads, proc.stdout.splitlines())
+        assert before_fit == []
+        assert "scipy.linalg" in after_fit and "scipy.optimize" in after_fit

@@ -150,7 +150,9 @@ class TestExport:
         index = build_repetition_index(
             corpus_from_token_lists([("s1", list("abcde")), ("s2", list("abcde"))])
         )
-        lines = [json.loads(line) for line in index_export_lines(index)]
+        lines = [
+            json.loads(line) for line in index_export_lines(index, top_repeats(index, limit=10))
+        ]
         assert [row["n"] for row in lines] == [5, 4, 4]
         assert all(set(row) == {"ngram", "n", "count"} for row in lines)
 
@@ -158,12 +160,13 @@ class TestExport:
         index = build_repetition_index(
             corpus_from_token_lists([("s2", list("abcd")), ("s1", list("abcd"))])
         )
-        (row,) = [json.loads(line) for line in index_export_lines(index, with_ids=True)]
+        rows = top_repeats(index, limit=10)
+        (row,) = [json.loads(line) for line in index_export_lines(index, rows, with_ids=True)]
         assert row["ids"] == ["s1", "s2"]
 
     def test_empty_index_exports_nothing(self):
         index = build_repetition_index(corpus_from_token_lists([list("abcd"), list("wxyz")]))
-        assert list(index_export_lines(index)) == []
+        assert list(index_export_lines(index, top_repeats(index, limit=10))) == []
 
 
 class TestIndexProperties:
