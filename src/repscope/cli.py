@@ -2,8 +2,10 @@
 
 Every command reads JSON-Lines corpora, writes reports into --output-dir,
 and drops a run manifest (config hash, input digests, tool version) beside
-them. Reports are deterministic: rerunning a command on identical inputs
-with an identical config reproduces every file byte for byte.
+them. The reports are collected during the run and published at its end,
+the manifest last, so a run that fails leaves the earlier reports whole and
+no manifest. Reports are deterministic: rerunning a command on identical
+inputs with an identical config reproduces every file byte for byte.
 
 Exit codes: 0 success, 1 input error, 2 analysis error.
 """
@@ -11,6 +13,7 @@ Exit codes: 0 success, 1 input error, 2 analysis error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -159,20 +162,6 @@ def _replace_given(obj, **changes):
     return replace(obj, **{k: v for k, v in changes.items() if v is not None})
 
 
-def _check_threads_env() -> None:
-    """Validate REPSCOPE_THREADS. Scoring is serial, so the value is never
-    used, but the variable is documented: a bad value still exits 1."""
-    env = os.environ.get("REPSCOPE_THREADS", "").strip()
-    if not env:
-        return
-    try:
-        cap = int(env)
-    except ValueError:
-        raise InputError(f"REPSCOPE_THREADS must be an integer, got {env!r}")
-    if cap < 1:
-        raise InputError(f"REPSCOPE_THREADS must be >= 1, got {cap}")
-
-
 def _load_corpora(paths: list[str], tokenizer: TokenizerConfig) -> list[Corpus]:
     corpora: list[Corpus] = []
     failures: list[str] = []
@@ -214,26 +203,36 @@ def _remove_manifest(path: Path) -> None:
 
 
 class _Run:
-    """Collects report files and manifest bookkeeping for one invocation."""
+    """Collects the report texts of one invocation; ``finish`` publishes them."""
 
     def __init__(self, command: str, config: AnalysisConfig, input_paths: list[str]):
         self.command = command
         self.config = config
         self.input_paths = input_paths
         self.output_dir = Path(config.output_dir)
-        self.output_dir.mkdir(parents=True, exist_ok=True)
-        self.outputs: list[str] = []
+        self.files: dict[str, str] = {}
         self.notes: list[str] = []
 
     def write(self, filename: str, text: str) -> None:
-        (self.output_dir / filename).write_text(text, encoding="utf-8")
-        self.outputs.append(filename)
+        self.files[filename] = text
+
+    def emit(self, stem: str, *args, csv=None, markdown=None, json=None) -> None:
+        """Write ``stem`` with the extension of each requested format whose
+        renderer is given, rendered from ``args``."""
+        for fmt, ext, render in (("csv", "csv", csv), ("markdown", "md", markdown),
+                                 ("json", "json", json)):
+            if render is not None and fmt in self.config.output_formats:
+                self.write(f"{stem}.{ext}", render(*args))
 
     def note(self, message: str) -> None:
         self.notes.append(message)
         print(f"note: {message}", file=sys.stderr)
 
     def finish(self) -> None:
+        """Stage every report as a hidden temporary file, then rename each into
+        place, the manifest last. A report path that is a directory is rejected
+        before anything is renamed, so a failed run leaves the earlier reports
+        as they were and no manifest."""
         config_dict = self.config.to_dict()
         manifest = {
             "tool": "repscope",
@@ -244,35 +243,40 @@ class _Run:
             "inputs": [
                 {"path": p, "sha256": reports.sha256_file(p)} for p in self.input_paths
             ],
-            "outputs": sorted(self.outputs),
+            "outputs": sorted(self.files),
             "notes": self.notes,
         }
-        (self.output_dir / MANIFEST).write_text(
-            reports.canonical_json(manifest), encoding="utf-8"
-        )
+        files = {**self.files, MANIFEST: reports.canonical_json(manifest)}
+        staged: list[Path] = []
+        path = self.output_dir
+        try:
+            self.output_dir.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                path = self.output_dir / name
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                tmp = path.with_name(f".{name}.tmp")
+                staged.append(tmp)
+                tmp.write_text(text, encoding="utf-8")
+            for name, tmp in zip(files, staged):
+                path = self.output_dir / name
+                os.replace(tmp, path)
+        except OSError as exc:
+            for tmp in staged:
+                tmp.unlink(missing_ok=True)
+            raise InputError(f"{path}: cannot write report: {exc.strerror or exc}") from exc
 
 
-def _emit_dataset_scores(run: _Run, dataset_scores) -> None:
-    formats = run.config.output_formats
-    if "csv" in formats:
-        run.write("dataset_scores.csv", reports.dataset_scores_csv(dataset_scores))
-    if "markdown" in formats:
-        run.write("dataset_scores.md", reports.dataset_scores_markdown(dataset_scores))
-    if "json" in formats:
-        run.write("dataset_scores.json", reports.dataset_scores_json(dataset_scores))
-
-
-def _emit_summary_scores(run: _Run, corpus: Corpus, summaries) -> None:
-    run.write(f"summary_scores_{corpus.name}.csv", reports.summary_scores_csv(summaries))
-
-
-def _emit_lengths(run: _Run, corpora: list[Corpus]) -> None:
+def _emit_scores(run: _Run, corpora: list[Corpus], scored) -> None:
+    run.emit(
+        "dataset_scores", [dataset for (_, _, dataset) in scored],
+        csv=reports.dataset_scores_csv, markdown=reports.dataset_scores_markdown,
+        json=reports.dataset_scores_json,
+    )
     rows = [(corpus.name, length_statistics(corpus)) for corpus in corpora]
-    formats = run.config.output_formats
-    if "csv" in formats:
-        run.write("summary_lengths.csv", reports.lengths_csv(rows))
-    if "markdown" in formats:
-        run.write("summary_lengths.md", reports.lengths_markdown(rows))
+    run.emit("summary_lengths", rows, csv=reports.lengths_csv, markdown=reports.lengths_markdown)
+    for corpus, (_, summaries, _) in zip(corpora, scored):
+        run.write(f"summary_scores_{corpus.name}.csv", reports.summary_scores_csv(summaries))
 
 
 def _emit_repeats(run: _Run, corpus: Corpus, index, limit: int, min_count: int, with_ids: bool, *, suffix: str = "") -> None:
@@ -284,22 +288,19 @@ def _emit_repeats(run: _Run, corpus: Corpus, index, limit: int, min_count: int, 
         examples[row.ngram] = (first_id, by_id[first_id].summary.text)
     export = "".join(line + "\n" for line in index_export_lines(index, rows, with_ids=with_ids))
     run.write(f"repeats{suffix}.jsonl", export)
-    formats = run.config.output_formats
-    if "csv" in formats:
-        run.write(f"repeats{suffix}.csv", reports.repeats_csv(rows, examples))
-    if "markdown" in formats:
-        run.write(f"repeats{suffix}.md", reports.repeats_markdown(rows, examples))
+    run.emit(
+        f"repeats{suffix}", rows, examples,
+        csv=reports.repeats_csv, markdown=reports.repeats_markdown,
+    )
 
 
 def _emit_abstractiveness(run: _Run, corpus: Corpus, *, suffix: str = "") -> None:
     rows = [abstractiveness(corpus, n) for n in run.config.abstractiveness_ns]
-    formats = run.config.output_formats
-    if "csv" in formats:
-        run.write(f"abstractiveness{suffix}.csv", reports.abstractiveness_csv(rows))
-    if "markdown" in formats:
-        run.write(f"abstractiveness{suffix}.md", reports.abstractiveness_markdown(rows))
-    if "json" in formats:
-        run.write(f"abstractiveness{suffix}.json", reports.abstractiveness_json(rows))
+    run.emit(
+        f"abstractiveness{suffix}", rows,
+        csv=reports.abstractiveness_csv, markdown=reports.abstractiveness_markdown,
+        json=reports.abstractiveness_json,
+    )
 
 
 def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
@@ -311,11 +312,7 @@ def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
     spec = run.config.regression
     design = build_design_matrix(records, scores, spec)
     fit = ols_fit(design, confidence_level=spec.confidence_level)
-    formats = run.config.output_formats
-    if "csv" in formats:
-        run.write("regression_coefficients.csv", reports.fit_csv(fit))
-    if "markdown" in formats:
-        run.write("regression_coefficients.md", reports.fit_markdown(fit))
+    run.emit("regression_coefficients", fit, csv=reports.fit_csv, markdown=reports.fit_markdown)
     columns = {"columns": list(design.column_names), "nested_columns": None}
 
     if spec.include_interactions:
@@ -328,10 +325,10 @@ def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
             )
         else:
             nested_fit = ols_fit(nested_design, confidence_level=spec.confidence_level)
-            if "csv" in formats:
-                run.write("regression_nested.csv", reports.fit_csv(nested_fit))
-            if "markdown" in formats:
-                run.write("regression_nested.md", reports.fit_markdown(nested_fit))
+            run.emit(
+                "regression_nested", nested_fit,
+                csv=reports.fit_csv, markdown=reports.fit_markdown,
+            )
             lr = likelihood_ratio_test(fit, nested_fit, critical_value=spec.lr_critical_value)
             run.write("lr_test.json", reports.lr_test_json(lr))
             columns["nested_columns"] = list(nested_design.column_names)
@@ -343,10 +340,7 @@ def cmd_score(args: argparse.Namespace, config: AnalysisConfig) -> int:
     corpora = _load_corpora(args.corpora, config.tokenizer)
     run = _Run("score", config, args.corpora)
     scored = [_score_corpus(c, config) for c in corpora]
-    _emit_dataset_scores(run, [dataset for (_, _, dataset) in scored])
-    _emit_lengths(run, corpora)
-    for corpus, (_, summaries, _) in zip(corpora, scored):
-        _emit_summary_scores(run, corpus, summaries)
+    _emit_scores(run, corpora, scored)
     run.finish()
     return 0
 
@@ -385,10 +379,8 @@ def cmd_report_all(args: argparse.Namespace, config: AnalysisConfig) -> int:
     corpora = _load_corpora(args.corpora, config.tokenizer)
     run = _Run("report-all", config, args.corpora)
     scored = [_score_corpus(c, config) for c in corpora]
-    _emit_dataset_scores(run, [dataset for (_, _, dataset) in scored])
-    _emit_lengths(run, corpora)
-    for corpus, (index, summaries, _) in zip(corpora, scored):
-        _emit_summary_scores(run, corpus, summaries)
+    _emit_scores(run, corpora, scored)
+    for corpus, (index, _, _) in zip(corpora, scored):
         _emit_repeats(
             run, corpus, index, args.limit, args.min_count, args.with_ids,
             suffix=f"_{corpus.name}",
@@ -409,7 +401,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         config = effective_config(args)
         _remove_manifest(Path(config.output_dir) / MANIFEST)
         return args.func(args, config)

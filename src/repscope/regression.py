@@ -11,7 +11,6 @@ in the Gaussian form n * ln(rss_nested / rss_full).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -118,8 +117,7 @@ def build_design_matrix(
     architecture indicators, non-reference train indicators, non-reference
     test indicators, and (when enabled) one indicator per non-reference
     train x test pair, named "TRAIN - TEST". Label groups are sorted so the
-    layout is deterministic. Warns about constant columns, which will fail
-    rank checks downstream.
+    layout is deterministic.
     """
     if spec is None:
         spec = RegressionSpec()
@@ -186,14 +184,6 @@ def build_design_matrix(
             matrix[i, col_of[f"Test {record.test_dataset}"]] = 1.0
         if spec.include_interactions and train_active and test_active:
             matrix[i, col_of[f"{train} - {record.test_dataset}"]] = 1.0
-
-    constant = [names[j] for j in range(2, len(names)) if np.ptp(matrix[:, j]) == 0.0]
-    if constant:
-        warnings.warn(
-            "constant design column(s): " + ", ".join(repr(c) for c in constant),
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     response = np.asarray(scores, dtype=float)
     return DesignMatrix(matrix=matrix, column_names=tuple(names), response=response)

@@ -243,6 +243,7 @@ class TestRegress:
         assert code == 2
         assert "reference architecture" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     def test_uninhabited_interaction_exits_2_naming_column(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         lines = []
@@ -257,10 +258,12 @@ class TestRegress:
                 obj["train_dataset"] = train
             lines.append(obj)
         path = write_jsonl(tmp_path / "gap.jsonl", lines)
-        with pytest.warns(RuntimeWarning, match="XSum - XSum"):
-            code = main(["regress", str(path), "--output-dir", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["regress", str(path), "--output-dir", str(out)])
         assert code == 2
-        assert "XSum - XSum" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'XSum - XSum'" in err[0], err
+        assert not out.exists()
 
     def test_pipeline_score_regression_recovers_known_shift(self, tmp_path):
         # two groups: BART summaries share a stock phrase, humans do not;
@@ -446,27 +449,22 @@ class TestConfigHandling:
         assert code == 1
         assert "yaml" in capsys.readouterr().err
 
-    def test_threads_env_cap_preserves_output(self, fixture_corpora, tmp_path, monkeypatch):
-        out = tmp_path / "reports"
-        monkeypatch.setenv("REPSCOPE_THREADS", "1")
+    def test_unwritable_report_leaves_earlier_tree_whole(self, fixture_corpora, tmp_path, capsys):
+        out = tmp_path / "out"
         assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 0
-        serial = dir_snapshot(out)
-        monkeypatch.setenv("REPSCOPE_THREADS", "4")
-        assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 0
-        assert dir_snapshot(out) == serial
-
-    @pytest.mark.parametrize(
-        "command", ["score", "repeats", "abstractiveness", "regress", "report-all"]
-    )
-    def test_invalid_threads_env_exits_1(
-        self, fixture_corpora, tmp_path, monkeypatch, capsys, command
-    ):
-        monkeypatch.setenv("REPSCOPE_THREADS", "many")
-        one_corpus = command in ("repeats", "abstractiveness")
-        corpora = fixture_corpora[:1] if one_corpus else fixture_corpora
-        code = main([command, *corpora, "--output-dir", str(tmp_path / "o")])
-        assert code == 1
-        assert "REPSCOPE_THREADS" in capsys.readouterr().err
+        blocked = out / "summary_lengths.csv"
+        blocked.unlink()
+        blocked.mkdir()
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()
+                   if p.is_file() and p.name != "run_manifest.json"}
+        capsys.readouterr()
+        assert main(["score", fixture_corpora[0], "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert str(blocked) in err and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == earlier
+        assert blocked.is_dir()
+        assert not any(p.name.endswith(".tmp") for p in out.iterdir())
 
 
 class TestReportAll:
