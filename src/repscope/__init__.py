@@ -42,7 +42,6 @@ from .ngrams import (
     RepeatRow,
     RepetitionIndex,
     build_repetition_index,
-    extract_ngrams,
     index_export_lines,
     top_repeats,
 )
@@ -55,7 +54,6 @@ from .regression import (
     likelihood_ratio_test,
     ols_fit,
 )
-from .special import chi2_sf, t_critical, t_two_sided_p
 
 __all__ = [
     "__version__",
@@ -86,9 +84,7 @@ __all__ = [
     "abstractiveness",
     "build_design_matrix",
     "build_repetition_index",
-    "chi2_sf",
     "dataset_repetition_score",
-    "extract_ngrams",
     "index_export_lines",
     "length_statistics",
     "likelihood_ratio_test",
@@ -96,8 +92,6 @@ __all__ = [
     "load_corpus",
     "ols_fit",
     "summary_repetition_score",
-    "t_critical",
-    "t_two_sided_p",
     "tokenize",
     "top_repeats",
 ]

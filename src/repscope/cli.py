@@ -25,7 +25,7 @@ from .corpus import Corpus, TokenizerConfig, load_corpus
 from .errors import AnalysisError, InputError
 from .metrics import (
     SCORE_MODES,
-    abstractiveness,
+    abstractiveness_rows,
     dataset_repetition_score,
     length_statistics,
     summary_repetition_score,
@@ -295,7 +295,7 @@ def _emit_repeats(run: _Run, corpus: Corpus, index, limit: int, min_count: int, 
 
 
 def _emit_abstractiveness(run: _Run, corpus: Corpus, *, suffix: str = "") -> None:
-    rows = [abstractiveness(corpus, n) for n in run.config.abstractiveness_ns]
+    rows = abstractiveness_rows(corpus, run.config.abstractiveness_ns)
     run.emit(
         f"abstractiveness{suffix}", rows,
         csv=reports.abstractiveness_csv, markdown=reports.abstractiveness_markdown,

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, SummaryRecord
 from .errors import EmptyCorpusError, MissingPairedInputError
-from .ngrams import RepetitionIndex, extract_ngrams
+from .ngrams import RepetitionIndex, paired_window_matches
 
 SCORE_MODES = ("all_ngrams", "maximal_only")
 
@@ -100,41 +100,43 @@ def dataset_repetition_score(corpus: Corpus, index: RepetitionIndex) -> DatasetR
 def abstractiveness(
     corpus: Corpus, n: int, *, per_summary_average: bool = False
 ) -> AbstractivenessRow:
+    """abstractiveness_rows for the single length n."""
+    return abstractiveness_rows(corpus, (n,), per_summary_average=per_summary_average)[0]
+
+
+def abstractiveness_rows(
+    corpus: Corpus, ns: Sequence[int], *, per_summary_average: bool = False
+) -> list[AbstractivenessRow]:
     """Percent of summary n-gram instances that never occur in the paired
-    input document.
+    input document, one row for each n in ns, in that order.
 
     Instances are counted with multiplicity and aggregated over the corpus;
     summaries shorter than n contribute nothing. With per_summary_average,
     each summary's novel fraction is averaged instead (equal weight per
     summary regardless of length).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not ns or min(ns) < 1:
+        raise ValueError(f"every n must be >= 1, got {list(ns)}")
     if not corpus.records:
         raise EmptyCorpusError(f"corpus {corpus.name!r} has no records")
     missing = [rec.id for rec in corpus.records if rec.input is None]
     if missing:
         raise MissingPairedInputError(missing)
 
-    novel_instances = 0
-    total_instances = 0
-    fractions: list[float] = []
-    for rec in corpus.records:
-        assert rec.input is not None
-        input_grams = set(extract_ngrams(rec.input, n))
-        windows = extract_ngrams(rec.summary, n)
-        if not windows:
-            continue
-        novel = sum(1 for gram in windows if gram not in input_grams)
-        novel_instances += novel
-        total_instances += len(windows)
-        fractions.append(novel / len(windows))
-
-    if per_summary_average:
-        percent = 100.0 * statistics.fmean(fractions) if fractions else 0.0
-    else:
-        percent = 100.0 * novel_instances / total_instances if total_instances else 0.0
-    return AbstractivenessRow(dataset=corpus.name, n=n, percent_novel=percent)
+    matches = paired_window_matches(corpus.records, max(ns))
+    lengths = [rec.length_tokens for rec in corpus.records]
+    rows = []
+    for n in ns:
+        windows = [max(0, length - n + 1) for length in lengths]
+        novel = [w - m for w, m in zip(windows, matches.get(n, [0] * len(windows)))]
+        if per_summary_average:
+            fractions = [v / w for v, w in zip(novel, windows) if w]
+            percent = 100.0 * statistics.fmean(fractions) if fractions else 0.0
+        else:
+            total = sum(windows)
+            percent = 100.0 * sum(novel) / total if total else 0.0
+        rows.append(AbstractivenessRow(dataset=corpus.name, n=n, percent_novel=percent))
+    return rows
 
 
 def length_statistics(corpus: Corpus) -> LengthStats:

@@ -1,10 +1,11 @@
-"""Cross-summary repeating n-gram index.
+"""Cross-summary repeating n-gram index, and paired-input window matches.
 
 An n-gram (n >= min_n, default 4) is *repeating* when it occurs in two or
 more distinct summaries of a corpus. The index maps each repeating n-gram
 to the full set of summary ids containing it, for every length at which
 repeats exist. Membership counts summaries, not occurrences: five copies
-inside one summary contribute a single id.
+inside one summary contribute a single id. The same window classes count
+the summary n-grams that occur in a record's own input (abstractiveness).
 """
 
 from __future__ import annotations
@@ -17,20 +18,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, TokenSequence
+from .corpus import Corpus, SummaryRecord
 from .errors import EmptyCorpusError
 
 NGram = tuple[str, ...]
-
-
-def extract_ngrams(seq: TokenSequence | Sequence[str], n: int) -> list[NGram]:
-    """All contiguous length-n windows, in order; empty when the sequence is
-    shorter than n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    tokens = tuple(getattr(seq, "tokens", seq))
-    # zip over n shifted copies builds every window in C, not one slice per position
-    return list(zip(*[tokens[i:] for i in range(n)]))
 
 
 @dataclass(frozen=True)
@@ -71,21 +62,77 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[_run_starts(values)]
 
 
+def _encode(docs: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The documents' tokens end to end as vocabulary ids, the document of
+    each token, and each document's start in that array."""
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # token -> id, in one pass
+    token_ids = map(vocab.__getitem__, chain.from_iterable(docs))
+    ids = np.fromiter(token_ids, dtype=np.int64, count=int(lengths.sum()))
+    doc = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    return ids, doc, np.cumsum(lengths) - lengths
+
+
+def _shared_levels(key: np.ndarray, doc: np.ndarray, n_docs: int, max_n: int = 0) -> Iterator:
+    """Yield each window length n, from 1 up, at which two or more documents
+    hold a common window, as (n, pos, doc, cls, keep, left, right, pairs,
+    pair_cls, doc_counts): per candidate window in position order, its start
+    in the flat array, document, class, whether two documents hold that
+    class, and its halves' classes (None at n = 1); every distinct (class,
+    document) pair as class * n_docs + document, ascending, and its class;
+    the number of documents of each class.
+
+    key holds one value per token, equal exactly when two tokens are, and
+    doc its document. Classes are equal exactly when two windows spell the
+    same tokens: the (n+1)-window at p gets the rank of the pair (class of
+    the n-window at p, class of the n-window at p + 1). Documents sharing a
+    window share both its halves, so candidates at n+1 only start where two
+    adjacent shared n-windows start in one document, which keeps long
+    corpora cheap. The scan stops at the first n with no shared class, or
+    after max_n when it is given.
+    """
+    # A class is below the number of windows, so with fewer than about 3e9
+    # tokens and documents the keys left * n_classes + right and class *
+    # n_docs + doc stay below 2**63.
+    pos = np.arange(key.size, dtype=np.int64)
+    left = right = None
+    n = 1
+    while key.size:
+        order = np.argsort(key)
+        sorted_cls = np.cumsum(_run_starts(key[order])) - 1
+        n_classes = int(sorted_cls[-1]) + 1
+        pairs = _distinct(sorted_cls * n_docs + doc[order])
+        pair_cls = pairs // n_docs
+        doc_counts = np.bincount(pair_cls, minlength=n_classes)
+        shared = doc_counts >= 2
+        if not shared.any():
+            return
+        cls = np.empty_like(sorted_cls)
+        cls[order] = sorted_cls
+        keep = shared[cls]
+        yield n, pos, doc, cls, keep, left, right, pairs, pair_cls, doc_counts
+        if n == max_n:
+            return
+
+        # next candidates: adjacent shared windows within one document
+        pos, doc, cls = pos[keep], doc[keep], cls[keep]
+        adjacent = (pos[1:] == pos[:-1] + 1) & (doc[1:] == doc[:-1])
+        left = cls[:-1][adjacent]
+        right = cls[1:][adjacent]
+        pos = pos[:-1][adjacent]
+        doc = doc[:-1][adjacent]
+        key = left * n_classes + right
+        n += 1
+
+
 def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     """Index every n-gram (n >= min_n) present in two or more summaries.
 
-    All summary tokens are laid end to end in one id array. Each window
-    gets an integer class naming its tokens exactly: a token's class is its
-    vocabulary id, and the class of the (n+1)-window at p is the rank of
-    the pair (class of the n-window at p, class of the n-window at p + 1),
-    since those two halves fix every token. Lengths grow one at a time from
-    1 (lengths below min_n only prune candidates); the scan stops at the
-    first length with no repeats, which is safe because a repeated
-    (n+1)-gram implies both of its n-sub-grams repeat in the same
-    summaries. For the same reason, candidate windows at length n+1 only
-    start where two adjacent repeating n-grams start in one summary, which
-    keeps long corpora cheap. Eq.1 is tallied in the same pass (see
-    RepetitionIndex.tallies).
+    Windows are named by the exact classes of _shared_levels, one document
+    per summary. Lengths below min_n only prune candidates; the scan stops
+    at the first length with no repeats, which is safe because a repeated
+    (n+1)-gram implies both of its n-sub-grams repeat in the same summaries.
+    Eq.1 is tallied in the same pass (see RepetitionIndex.tallies).
     """
     if min_n < 1:
         raise ValueError(f"min_n must be >= 1, got {min_n}")
@@ -95,21 +142,7 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     summary_ids = [rec.id for rec in corpus.records]
     token_lists = [rec.summary.tokens for rec in corpus.records]
     n_docs = len(token_lists)
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_docs)
-    starts = np.cumsum(lengths) - lengths
-    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # token -> id, in one pass
-    # Per surviving window, in position order: start in the flat array,
-    # summary index, and the key whose rank is the window's class. A class
-    # is below the number of windows, so with fewer than about 3e9 tokens
-    # and summaries the keys left * n_classes + right and class * n_docs +
-    # doc stay below 2**63.
-    key = np.fromiter(
-        map(vocab.__getitem__, chain.from_iterable(token_lists)),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    pos = np.arange(key.size, dtype=np.int64)
-    doc = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    key, doc, starts = _encode(token_lists)
 
     entries: dict[NGram, frozenset[str]] = {}
     # Eq.1 terms per summary: all types, and the part covered by a longer type
@@ -118,25 +151,11 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     m_covered = np.zeros(n_docs, dtype=np.int64)
     raw_covered = np.zeros(n_docs, dtype=np.int64)
     max_observed = 0
-    n = 1
-    while key.size:
-        order = np.argsort(key)
-        new_class = _run_starts(key[order])
-        sorted_cls = np.cumsum(new_class) - 1
-        n_classes = int(sorted_cls[-1]) + 1
-        # distinct (class, summary) pairs, sorted by class and then summary
-        pairs = _distinct(sorted_cls * n_docs + doc[order])
-        pair_cls = pairs // n_docs
-        doc_counts = np.bincount(pair_cls, minlength=n_classes)
-        repeats = doc_counts >= 2
-        if not repeats.any():
-            break
-        cls = np.empty_like(sorted_cls)
-        cls[order] = sorted_cls
-        keep = repeats[cls]
-
+    levels = _shared_levels(key, doc, n_docs)
+    for n, pos, doc, cls, keep, left, right, pairs, pair_cls, doc_counts in levels:
         if n >= min_n:
             max_observed = n
+            repeats = doc_counts >= 2
             in_repeat = repeats[pair_cls]
             pair_doc = (pairs % n_docs)[in_repeat]
             np.add.at(m_all, pair_doc, 1)
@@ -154,8 +173,10 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
                 np.add.at(m_covered, covered_doc, 1)
                 np.add.at(raw_covered, covered_doc, prev_counts[covered // n_docs])
 
-            # any window of a class spells its n-gram; take the first in sort order
-            first = order[new_class & repeats[sorted_cls]]
+            # any window of a class spells its n-gram; take one per class
+            window = np.empty(doc_counts.size, dtype=np.int64)
+            window[cls] = np.arange(cls.size)
+            first = window[repeats]
             first_doc = doc[first]
             offsets = (pos[first] - starts[first_doc]).tolist()
             pair_ids = list(map(summary_ids.__getitem__, pair_doc.tolist()))
@@ -163,17 +184,7 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
             ends = np.cumsum(counts).tolist()
             for d, off, end, size in zip(first_doc.tolist(), offsets, ends, counts.tolist()):
                 entries[token_lists[d][off : off + n]] = frozenset(pair_ids[end - size : end])
-
-        # next candidates: adjacent surviving windows within one summary
-        pos, doc, cls = pos[keep], doc[keep], cls[keep]
-        adjacent = (pos[1:] == pos[:-1] + 1) & (doc[1:] == doc[:-1])
-        left = cls[:-1][adjacent]
-        right = cls[1:][adjacent]
-        pos = pos[:-1][adjacent]
-        doc = doc[:-1][adjacent]
-        key = left * n_classes + right
         prev_counts = doc_counts
-        n += 1
 
     tallies = dict(
         zip(
@@ -193,6 +204,21 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
         corpus_size=n_docs,
         tallies=tallies,
     )
+
+
+def paired_window_matches(records: Sequence[SummaryRecord], max_n: int) -> dict[int, list[int]]:
+    """For each n up to max_n at which any match exists, how many summary
+    n-windows of each record also occur in its own input. Record r's summary
+    is document 2r and its input 2r + 1, and a token's key is its id *
+    len(records) + r, so a class that two documents hold is exactly an
+    n-gram found in both the summary and the input of one record."""
+    n_records = len(records)
+    key, doc, _ = _encode([seq.tokens for rec in records for seq in (rec.summary, rec.input)])
+    matches = {}
+    levels = _shared_levels(key * n_records + doc // 2, doc, 2 * n_records, max_n)
+    for n, _, doc, _, keep, *_ in levels:
+        matches[n] = np.bincount(doc[keep], minlength=2 * n_records)[::2].tolist()
+    return matches
 
 
 class RepeatRow(NamedTuple):

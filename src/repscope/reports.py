@@ -51,7 +51,9 @@ def markdown_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
         "|" + "|".join(" --- " for _ in header) + "|",
     ]
     for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+        # an escaped "|" and spaces for line breaks keep each body row one line
+        cells = (" ".join(str(cell).replace("|", "\\|").splitlines()) for cell in row)
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -140,13 +142,7 @@ def repeats_markdown(rows: Sequence[RepeatRow], examples: dict[tuple, tuple[str,
     body = []
     for row in rows:
         _, example_text = examples.get(row.ngram, ("", ""))
-        body.append(
-            (
-                " ".join(row.ngram),
-                format_freq(row.count, row.corpus_size),
-                example_text.replace("|", "\\|"),
-            )
-        )
+        body.append((" ".join(row.ngram), format_freq(row.count, row.corpus_size), example_text))
     return markdown_table(("Repeating n-gram", "Freq", "Example"), body)
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,23 @@ class TestRepeats:
         ngrams = [json.loads(l)["ngram"] for l in (out / "repeats.jsonl").read_text().splitlines()]
         assert ngrams[0] == ["a", "b", "c", "d"]  # count 3 first, then longer ties
         assert ngrams[1] == ["a", "b", "c", "d", "e"]
+
+    def test_markdown_rows_stay_one_line_of_three_cells(self, tmp_path):
+        # a "|" token in the n-gram and a line break in the example text
+        text = "Sign up | for our daily\nbriefing now \u2026"
+        lines = [
+            {"id": f"s{i}", "summary": text, "architecture": "H", "test_dataset": "d"}
+            for i in (1, 2)
+        ]
+        path = write_jsonl(tmp_path / "toy.jsonl", lines)
+        out = tmp_path / "out"
+        assert main(["repeats", str(path), "--formats", "markdown", "--output-dir", str(out)]) == 0
+        body = (out / "repeats.md").read_text(encoding="utf-8").splitlines()[2:]
+        assert body
+        for line in body:
+            cells = re.split(r"(?<!\\)\|", line)
+            assert cells[0] == cells[-1] == "" and len(cells) == 5, line
+        assert "| Sign up \\| for our daily briefing now \u2026 |" in body[0]
 
 
 class TestAbstractiveness:

@@ -7,6 +7,7 @@ from repscope.corpus import Corpus
 from repscope.errors import EmptyCorpusError, MissingPairedInputError
 from repscope.metrics import (
     abstractiveness,
+    abstractiveness_rows,
     dataset_repetition_score,
     length_statistics,
     summary_repetition_score,
@@ -166,9 +167,15 @@ class TestAbstractiveness:
 
     def test_disjoint_vocabulary_is_hundred(self):
         records = [make_record("s1", list("abcdef"), input_tokens=list("uvwxyz"))]
-        corpus = Corpus(records=tuple(records), name="disjoint")
-        for n in (1, 2, 3, 4):
-            assert abstractiveness(corpus, n).percent_novel == 100.0
+        # r1's summary is r2's input: windows match only within one record
+        crossed = [
+            make_record("r1", list("abcdef"), input_tokens=list("uvwxyz")),
+            make_record("r2", list("ghijkl"), input_tokens=list("abcdef")),
+        ]
+        for recs in (records, crossed):
+            corpus = Corpus(records=tuple(recs), name="disjoint")
+            for n in (1, 2, 3, 4):
+                assert abstractiveness(corpus, n).percent_novel == 100.0
 
     def _mixed(self):
         return Corpus(
@@ -196,6 +203,7 @@ class TestAbstractiveness:
             records=(make_record("s1", ["a"], input_tokens=["b"]),), name="short"
         )
         assert abstractiveness(corpus, 4).percent_novel == 0.0
+        assert abstractiveness_rows(corpus, (10**12,))[0].percent_novel == 0.0
 
     def test_missing_input_names_records(self):
         corpus = Corpus(
@@ -228,6 +236,9 @@ class TestAbstractiveness:
     def test_n_validated(self):
         with pytest.raises(ValueError):
             abstractiveness(self._mixed(), 0)
+        for ns in ((), (2, 0), (-1,)):
+            with pytest.raises(ValueError):
+                abstractiveness_rows(self._mixed(), ns)
 
     def test_oracle_equivalence_on_random_corpora(self):
         rng = np.random.default_rng(41)
@@ -247,6 +258,15 @@ class TestAbstractiveness:
                 for average in (False, True):
                     got = abstractiveness(corpus, n, per_summary_average=average).percent_novel
                     assert got == abstractiveness_oracle(corpus, n, per_summary_average=average)
+            # all lengths in one call, unsorted; summaries hold at most 30 tokens
+            ns = (4, 1, 9, 2, 3, 31)
+            for average in (False, True):
+                rows = abstractiveness_rows(corpus, ns, per_summary_average=average)
+                assert [row.n for row in rows] == list(ns)
+                for row in rows:
+                    assert row.percent_novel == abstractiveness_oracle(
+                        corpus, row.n, per_summary_average=average
+                    )
 
 
 class TestLengthStatistics:

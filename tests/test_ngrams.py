@@ -2,15 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repscope.errors import EmptyCorpusError
 from repscope.corpus import Corpus, tokenize
 from repscope.metrics import summary_repetition_score
 from repscope.ngrams import (
     build_repetition_index,
-    extract_ngrams,
     index_export_lines,
     top_repeats,
 )
@@ -22,31 +19,6 @@ from oracles import (
     pairwise_index_oracle,
     random_corpus,
 )
-
-
-class TestExtractNgrams:
-    def test_windowing(self):
-        assert extract_ngrams(list("abcde"), 4) == [tuple("abcd"), tuple("bcde")]
-
-    def test_too_short(self):
-        assert extract_ngrams(list("abc"), 4) == []
-
-    def test_repeated_token_gives_positional_windows(self):
-        assert extract_ngrams(["a"] * 5, 4) == [("a",) * 4, ("a",) * 4]
-
-    def test_accepts_token_sequence(self):
-        corpus = corpus_from_token_lists([list("abcd")])
-        assert extract_ngrams(corpus.records[0].summary, 4) == [tuple("abcd")]
-
-    def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            extract_ngrams(list("abc"), 0)
-
-    @settings(max_examples=200)
-    @given(st.lists(st.sampled_from("abc"), max_size=10), st.integers(1, 6))
-    def test_matches_one_slice_per_position(self, seq, n):
-        # the plain loop is the reference, including sequences shorter than n
-        assert extract_ngrams(seq, n) == [tuple(seq[i : i + n]) for i in range(len(seq) - n + 1)]
 
 
 class TestBuildIndex:
