@@ -11,13 +11,17 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, SummaryRecord
 from .errors import EmptyCorpusError, MissingPairedInputError
 from .ngrams import RepetitionIndex, paired_window_matches
 
 SCORE_MODES = ("all_ngrams", "maximal_only")
+
+# summary plus input tokens per paired scan, which holds about 80 bytes per
+# token; records are independent, so the counts do not depend on the size
+_BLOCK_TOKENS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -123,12 +127,16 @@ def abstractiveness_rows(
     if missing:
         raise MissingPairedInputError(missing)
 
-    matches = paired_window_matches(corpus.records, max(ns))
+    matches = {n: [] for n in ns}
+    for block in _blocks(corpus.records):
+        found = paired_window_matches(block, max(ns))
+        for n, counts in matches.items():
+            counts.extend(found.get(n, [0] * len(block)))
     lengths = [rec.length_tokens for rec in corpus.records]
     rows = []
     for n in ns:
         windows = [max(0, length - n + 1) for length in lengths]
-        novel = [w - m for w, m in zip(windows, matches.get(n, [0] * len(windows)))]
+        novel = [w - m for w, m in zip(windows, matches[n])]
         if per_summary_average:
             fractions = [v / w for v, w in zip(novel, windows) if w]
             percent = 100.0 * statistics.fmean(fractions) if fractions else 0.0
@@ -137,6 +145,20 @@ def abstractiveness_rows(
             percent = 100.0 * sum(novel) / total if total else 0.0
         rows.append(AbstractivenessRow(dataset=corpus.name, n=n, percent_novel=percent))
     return rows
+
+
+def _blocks(records: Sequence[SummaryRecord]) -> Iterator[list[SummaryRecord]]:
+    """Consecutive runs of records with at most _BLOCK_TOKENS summary plus
+    input tokens each, or a single longer record."""
+    block, size = [], 0
+    for rec in records:
+        tokens = len(rec.summary) + len(rec.input)
+        if block and size + tokens > _BLOCK_TOKENS:
+            yield block
+            block, size = [], 0
+        block.append(rec)
+        size += tokens
+    yield block
 
 
 def length_statistics(corpus: Corpus) -> LengthStats:

@@ -145,6 +145,7 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     key, doc, starts = _encode(token_lists)
 
     entries: dict[NGram, frozenset[str]] = {}
+    id_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
     # Eq.1 terms per summary: all types, and the part covered by a longer type
     m_all = np.zeros(n_docs, dtype=np.int64)
     raw_all = np.zeros(n_docs, dtype=np.int64)
@@ -183,7 +184,8 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
             counts = doc_counts[repeats]
             ends = np.cumsum(counts).tolist()
             for d, off, end, size in zip(first_doc.tolist(), offsets, ends, counts.tolist()):
-                entries[token_lists[d][off : off + n]] = frozenset(pair_ids[end - size : end])
+                ids = frozenset(pair_ids[end - size : end])
+                entries[token_lists[d][off : off + n]] = id_sets.setdefault(ids, ids)
         prev_counts = doc_counts
 
     tallies = dict(

@@ -117,7 +117,8 @@ def build_design_matrix(
     architecture indicators, non-reference train indicators, non-reference
     test indicators, and (when enabled) one indicator per non-reference
     train x test pair, named "TRAIN - TEST". Label groups are sorted so the
-    layout is deterministic.
+    layout is deterministic. Labels that would give two columns one name
+    are rejected.
     """
     if spec is None:
         spec = RegressionSpec()
@@ -126,67 +127,39 @@ def build_design_matrix(
     if not records:
         raise DegenerateDesignError("no records to regress on")
 
-    arch_labels = sorted({r.architecture for r in records})
-    train_labels = sorted(
-        {t for r in records if (t := _effective_train(r, spec)) is not None}
+    # one label per record and factor; records without a train dataset hold None
+    labels = np.array(
+        [(r.architecture, _effective_train(r, spec), r.test_dataset) for r in records],
+        dtype=object,
     )
-    test_labels = sorted({r.test_dataset for r in records})
-    if spec.reference_architecture not in arch_labels:
-        raise DegenerateDesignError(
-            f"reference architecture {spec.reference_architecture!r} not present "
-            f"in the data (labels: {arch_labels})"
-        )
-    if train_labels and spec.reference_train not in train_labels:
-        raise DegenerateDesignError(
-            f"reference train dataset {spec.reference_train!r} not present "
-            f"in the data (labels: {train_labels})"
-        )
-    if spec.reference_test not in test_labels:
-        raise DegenerateDesignError(
-            f"reference test dataset {spec.reference_test!r} not present "
-            f"in the data (labels: {test_labels})"
-        )
+    factors = ("architecture", "train dataset", "test dataset")
+    references = (spec.reference_architecture, spec.reference_train, spec.reference_test)
+    indicators = []  # per factor, (level, column) for each non-reference level
+    for factor, reference, values in zip(factors, references, labels.T):
+        present = sorted(set(values) - {None})
+        if present and reference not in present:
+            raise DegenerateDesignError(
+                f"reference {factor} {reference!r} not present in the data (labels: {present})"
+            )
+        indicators.append([(level, values == level) for level in present if level != reference])
 
-    arch_cols = [a for a in arch_labels if a != spec.reference_architecture]
-    train_cols = [t for t in train_labels if t != spec.reference_train]
-    test_cols = [t for t in test_labels if t != spec.reference_test]
-    inter_cols = (
-        [(tr, te) for tr in train_cols for te in test_cols]
-        if spec.include_interactions
-        else []
-    )
-
-    names: list[str] = [INTERCEPT, LENGTH]
-    names.extend(arch_cols)
-    names.extend(f"Train {t}" for t in train_cols)
-    names.extend(f"Test {t}" for t in test_cols)
-    names.extend(f"{tr} - {te}" for tr, te in inter_cols)
-    col_of = {name: j for j, name in enumerate(names)}
-
-    n = len(records)
-    matrix = np.zeros((n, len(names)))
-    matrix[:, 0] = 1.0
     lengths = np.array([r.length_tokens for r in records], dtype=float)
     sd = float(lengths.std())
     if sd == 0.0:
         raise DegenerateDesignError("summary lengths are constant; z-score is undefined")
-    matrix[:, 1] = (lengths - lengths.mean()) / sd
-
-    for i, record in enumerate(records):
-        if record.architecture != spec.reference_architecture:
-            matrix[i, col_of[record.architecture]] = 1.0
-        train = _effective_train(record, spec)
-        train_active = train is not None and train != spec.reference_train
-        test_active = record.test_dataset != spec.reference_test
-        if train_active:
-            matrix[i, col_of[f"Train {train}"]] = 1.0
-        if test_active:
-            matrix[i, col_of[f"Test {record.test_dataset}"]] = 1.0
-        if spec.include_interactions and train_active and test_active:
-            matrix[i, col_of[f"{train} - {record.test_dataset}"]] = 1.0
-
+    arch, train, test = indicators
+    columns = [(INTERCEPT, np.ones(len(records))), (LENGTH, (lengths - lengths.mean()) / sd)]
+    columns += arch + [(f"Train {level}", col) for level, col in train]
+    columns += [(f"Test {level}", col) for level, col in test]
+    if spec.include_interactions:
+        columns += [(f"{tr} - {te}", a & b) for tr, a in train for te, b in test]
+    names = tuple(name for name, _ in columns)
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    if clashes:
+        raise DegenerateDesignError(f"labels give two design columns one name: {clashes}")
+    matrix = np.column_stack([col for _, col in columns])
     response = np.asarray(scores, dtype=float)
-    return DesignMatrix(matrix=matrix, column_names=tuple(names), response=response)
+    return DesignMatrix(matrix=matrix, column_names=names, response=response)
 
 
 def ols_fit(design: DesignMatrix, *, confidence_level: float = 0.95) -> RegressionFit:

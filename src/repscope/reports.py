@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import asdict
 from typing import Iterable, Sequence
 
 from .metrics import (
@@ -94,17 +95,7 @@ def dataset_scores_markdown(scores: Sequence[DatasetRepetitionScore]) -> str:
 
 
 def dataset_scores_json(scores: Sequence[DatasetRepetitionScore]) -> str:
-    return canonical_json(
-        [
-            {
-                "dataset": s.dataset,
-                "repeating_summaries": s.repeating_summaries,
-                "total_summaries": s.total_summaries,
-                "score": s.score,
-            }
-            for s in scores
-        ]
-    )
+    return canonical_json([asdict(s) for s in scores])
 
 
 # per-summary scores
@@ -173,9 +164,7 @@ def abstractiveness_markdown(rows: Sequence[AbstractivenessRow]) -> str:
 
 
 def abstractiveness_json(rows: Sequence[AbstractivenessRow]) -> str:
-    return canonical_json(
-        [{"dataset": r.dataset, "n": r.n, "percent_novel": r.percent_novel} for r in rows]
-    )
+    return canonical_json([asdict(r) for r in rows])
 
 
 # summary lengths

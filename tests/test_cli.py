@@ -283,6 +283,27 @@ class TestRegress:
         assert len(err) == 1 and err[0].startswith("error:") and "'XSum - XSum'" in err[0], err
         assert not out.exists()
 
+    def test_colliding_column_names_exit_2_naming_column(self, tmp_path, capsys):
+        # architecture "Train XSum" and train dataset "XSum" both name a column "Train XSum"
+        combos = [("Human", None, "CNN/DailyMail"), ("Human", None, "XSum"),
+                  ("Train XSum", "CNN/DailyMail", "CNN/DailyMail"),
+                  ("BART", "XSum", "CNN/DailyMail"), ("BART", "XSum", "XSum")]
+        lines = []
+        for i in range(40):
+            arch, train, test = combos[i % len(combos)]
+            obj = {"id": f"s{i}", "summary": " ".join(f"w{i}x{j}" for j in range(3 + i % 7)),
+                   "architecture": arch, "test_dataset": test}
+            if train:
+                obj["train_dataset"] = train
+            lines.append(obj)
+        path = write_jsonl(tmp_path / "clash.jsonl", lines)
+        out = tmp_path / "o"
+        assert main(["regress", str(path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'Train XSum'" in err[0], err
+        assert "rank deficient" not in err[0]
+        assert not out.exists()
+
     def test_pipeline_score_regression_recovers_known_shift(self, tmp_path):
         # two groups: BART summaries share a stock phrase, humans do not;
         # the fitted BART coefficient must pick up the induced repetition gap

@@ -5,6 +5,7 @@ import pytest
 
 from repscope.corpus import Corpus
 from repscope.errors import EmptyCorpusError, MissingPairedInputError
+from repscope import metrics
 from repscope.metrics import (
     abstractiveness,
     abstractiveness_rows,
@@ -267,6 +268,31 @@ class TestAbstractiveness:
                     assert row.percent_novel == abstractiveness_oracle(
                         corpus, row.n, per_summary_average=average
                     )
+
+    @pytest.mark.parametrize("block_tokens", [1, 37, 10**9])
+    def test_block_size_does_not_change_counts(self, monkeypatch, block_tokens):
+        rng = np.random.default_rng(43)
+        base = random_corpus(rng, max_summaries=40, vocab_lo=4, vocab_hi=10)
+        def words(size):
+            return [f"w{v}" for v in rng.integers(0, 10, size=size)]
+
+        records = [
+            make_record(r.id, r.summary.tokens, input_tokens=words(int(rng.integers(0, 20))))
+            for r in base.records
+        ]
+        # one record longer than a 37-token block, in the middle of the corpus
+        summary = words(30)
+        records.insert(len(records) // 2, make_record("long", summary, input_tokens=summary[5:25]))
+        corpus = Corpus(records=tuple(records), name="blocks")
+        monkeypatch.setattr(metrics, "_BLOCK_TOKENS", block_tokens)
+        ns = (4, 1, 9, 2, 3)
+        for average in (False, True):
+            rows = abstractiveness_rows(corpus, ns, per_summary_average=average)
+            assert [row.n for row in rows] == list(ns)
+            for row in rows:
+                assert row.percent_novel == abstractiveness_oracle(
+                    corpus, row.n, per_summary_average=average
+                )
 
 
 class TestLengthStatistics:

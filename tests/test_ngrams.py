@@ -42,6 +42,15 @@ class TestBuildIndex:
         }
         assert index.max_observed_n == 5
 
+    def test_equal_id_sets_share_one_object(self):
+        corpus = corpus_from_token_lists(
+            [("s1", list("abcdefg")), ("s2", list("abcdefg")), ("s3", list("abcdxyz")),
+             ("s4", list("pqrstu")), ("s5", list("xpqrstu"))]
+        )
+        values = list(build_repetition_index(corpus).entries.values())
+        assert len(values) > 3
+        assert len({id(ids) for ids in values}) == len(set(values)) == 3
+
     def test_no_repeats_gives_empty_index(self):
         corpus = corpus_from_token_lists([list("abcd"), list("efgh")])
         index = build_repetition_index(corpus)

@@ -121,6 +121,18 @@ class TestBuildDesignMatrix:
         with pytest.raises(DegenerateDesignError, match="reference test"):
             build_design_matrix(records, [0.0, 0.0], SPEC)
 
+    def test_colliding_column_names_rejected(self):
+        # architecture "Train XSum" and train dataset "XSum" both name a column "Train XSum"
+        records = [
+            make_record("r1", ["w"] * 5, architecture="Human", test_dataset="CNN/DailyMail"),
+            make_record("r2", ["w"] * 7, architecture="Train XSum",
+                        train_dataset="CNN/DailyMail", test_dataset="CNN/DailyMail"),
+            make_record("r3", ["w"] * 9, architecture="BART", train_dataset="XSum",
+                        test_dataset="CNN/DailyMail"),
+        ]
+        with pytest.raises(DegenerateDesignError, match="'Train XSum'"):
+            build_design_matrix(records, [0.0, 1.0, 2.0], SPEC)
+
     def test_constant_lengths_rejected(self):
         records = [
             make_record("r1", ["w"] * 5, architecture="Human", test_dataset="CNN/DailyMail"),
