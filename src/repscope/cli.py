@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .config import OUTPUT_FORMATS, AnalysisConfig, load_config
 from .corpus import Corpus, TokenizerConfig, load_corpus
-from .errors import AnalysisError, InputError
+from .errors import AnalysisError, InputError, MissingPairedInputError
 from .metrics import (
     SCORE_MODES,
     abstractiveness_rows,
@@ -90,40 +90,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("score", parents=[common], help="dataset and per-summary repetition scores")
-    p.add_argument("corpora", nargs="+", metavar="CORPUS")
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser(
-        "repeats", parents=[common, repeat_flags], help="most widely shared n-grams"
-    )
-    p.add_argument("corpus", metavar="CORPUS")
-    p.set_defaults(func=cmd_repeats)
-
-    p = sub.add_parser(
-        "abstractiveness",
-        parents=[common],
-        help="percent of summary n-grams absent from paired inputs",
-    )
-    p.add_argument("corpus", metavar="CORPUS")
-    p.set_defaults(func=cmd_abstractiveness)
-
-    p = sub.add_parser(
-        "regress",
-        parents=[common, regress_flags],
-        help="regress per-summary scores on architecture, datasets, and length",
-    )
-    p.add_argument("corpora", nargs="+", metavar="CORPUS")
-    p.set_defaults(func=cmd_regress)
-
-    p = sub.add_parser(
-        "report-all",
-        parents=[common, repeat_flags, regress_flags],
-        help="run every applicable report for the given corpora",
-    )
-    p.add_argument("corpora", nargs="+", metavar="CORPUS")
-    p.set_defaults(func=cmd_report_all)
+    # name, flags beyond the common ones, how many corpora, report body, help
+    for name, flags, count, body, help_text in (
+        ("score", [], "+", cmd_score, "dataset and per-summary repetition scores"),
+        ("repeats", [repeat_flags], 1, cmd_repeats, "most widely shared n-grams"),
+        ("abstractiveness", [], 1, cmd_abstractiveness,
+         "percent of summary n-grams absent from paired inputs"),
+        ("regress", [regress_flags], "+", cmd_regress,
+         "regress per-summary scores on architecture, datasets, and length"),
+        ("report-all", [repeat_flags, regress_flags], "+", cmd_report_all,
+         "run every applicable report for the given corpora"),
+    ):
+        p = sub.add_parser(name, parents=[common, *flags], help=help_text)
+        p.add_argument("corpora", nargs=count, metavar="CORPUS")
+        p.set_defaults(func=body)
 
     return parser
 
@@ -279,14 +259,16 @@ def _emit_scores(run: _Run, corpora: list[Corpus], scored) -> None:
         run.write(f"summary_scores_{corpus.name}.csv", reports.summary_scores_csv(summaries))
 
 
-def _emit_repeats(run: _Run, corpus: Corpus, index, limit: int, min_count: int, with_ids: bool, *, suffix: str = "") -> None:
-    rows = top_repeats(index, limit, min_count)
+def _emit_repeats(
+    run: _Run, corpus: Corpus, index, args: argparse.Namespace, *, suffix: str = ""
+) -> None:
+    rows = top_repeats(index, args.limit, args.min_count)
     by_id = {rec.id: rec for rec in corpus.records}
     examples = {}
     for row in rows:
         first_id = min(index.entries[row.ngram])
         examples[row.ngram] = (first_id, by_id[first_id].summary.text)
-    export = "".join(line + "\n" for line in index_export_lines(index, rows, with_ids=with_ids))
+    export = "".join(line + "\n" for line in index_export_lines(index, rows, with_ids=args.with_ids))
     run.write(f"repeats{suffix}.jsonl", export)
     run.emit(
         f"repeats{suffix}", rows, examples,
@@ -336,74 +318,54 @@ def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
     run.write("design_columns.json", reports.canonical_json(columns))
 
 
-def cmd_score(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    corpora = _load_corpora(args.corpora, config.tokenizer)
-    run = _Run("score", config, args.corpora)
-    scored = [_score_corpus(c, config) for c in corpora]
-    _emit_scores(run, corpora, scored)
-    run.finish()
-    return 0
+# Report bodies: each writes its reports into ``run`` from corpora that
+# ``main`` has loaded; ``main`` publishes them.
+def cmd_score(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
+    _emit_scores(run, corpora, [_score_corpus(c, run.config) for c in corpora])
 
 
-def cmd_repeats(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    if args.limit < 1:
-        raise InputError(f"--limit must be >= 1, got {args.limit}")
-    corpora = _load_corpora([args.corpus], config.tokenizer)
-    run = _Run("repeats", config, [args.corpus])
-    index = build_repetition_index(corpora[0], config.min_n)
-    _emit_repeats(run, corpora[0], index, args.limit, args.min_count, args.with_ids)
-    run.finish()
-    return 0
+def cmd_repeats(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
+    index = build_repetition_index(corpora[0], run.config.min_n)
+    _emit_repeats(run, corpora[0], index, args)
 
 
-def cmd_abstractiveness(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    corpora = _load_corpora([args.corpus], config.tokenizer)
-    run = _Run("abstractiveness", config, [args.corpus])
+def cmd_abstractiveness(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
     _emit_abstractiveness(run, corpora[0])
-    run.finish()
-    return 0
 
 
-def cmd_regress(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    corpora = _load_corpora(args.corpora, config.tokenizer)
-    run = _Run("regress", config, args.corpora)
-    scored = [_score_corpus(c, config) for c in corpora]
-    _emit_regression(run, corpora, scored)
-    run.finish()
-    return 0
+def cmd_regress(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
+    _emit_regression(run, corpora, [_score_corpus(c, run.config) for c in corpora])
 
 
-def cmd_report_all(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    if args.limit < 1:
-        raise InputError(f"--limit must be >= 1, got {args.limit}")
-    corpora = _load_corpora(args.corpora, config.tokenizer)
-    run = _Run("report-all", config, args.corpora)
-    scored = [_score_corpus(c, config) for c in corpora]
+def cmd_report_all(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
+    scored = [_score_corpus(c, run.config) for c in corpora]
     _emit_scores(run, corpora, scored)
     for corpus, (index, _, _) in zip(corpora, scored):
-        _emit_repeats(
-            run, corpus, index, args.limit, args.min_count, args.with_ids,
-            suffix=f"_{corpus.name}",
-        )
-        if all(rec.input is not None for rec in corpus.records):
+        _emit_repeats(run, corpus, index, args, suffix=f"_{corpus.name}")
+        try:
             _emit_abstractiveness(run, corpus, suffix=f"_{corpus.name}")
-        else:
+        except MissingPairedInputError:
             run.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
     try:
         _emit_regression(run, corpora, scored)
     except AnalysisError as exc:
         run.note(f"regression skipped: {exc}")
-    run.finish()
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Resolve the config, check the flags, load the corpora, run the
+    command's report body and publish its reports."""
+    args = build_parser().parse_args(argv)
     try:
         config = effective_config(args)
         _remove_manifest(Path(config.output_dir) / MANIFEST)
-        return args.func(args, config)
+        if getattr(args, "limit", 1) < 1:
+            raise InputError(f"--limit must be >= 1, got {args.limit}")
+        corpora = _load_corpora(args.corpora, config.tokenizer)
+        run = _Run(args.command, config, args.corpora)
+        args.func(run, corpora, args)
+        run.finish()
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -99,8 +99,10 @@ def load_config(path: str | Path) -> AnalysisConfig:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: cannot open config: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON in config: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: config is not valid UTF-8") from exc
+    except (ValueError, RecursionError) as exc:  # also huge ints, deep nests
+        raise InputError(f"{path}: invalid JSON in config: {getattr(exc, 'msg', exc)}") from exc
     try:
         return AnalysisConfig.from_dict(data)
     except ValueError as exc:

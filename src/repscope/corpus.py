@@ -8,6 +8,7 @@ indexing, repetition scores, regression) operate on these records.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import unicodedata
 from dataclasses import dataclass
@@ -193,25 +194,35 @@ def load_corpus(
     except OSError as exc:
         raise CorpusLoadError(f"{path}: cannot open: {exc.strerror or exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusLoadError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise CorpusLoadError(f"{path}:{lineno}: expected a JSON object")
-            try:
-                record = _record_from_object(obj, config, memo)
-            except ValueError as exc:
-                raise CorpusLoadError(f"{path}:{lineno}: {exc}") from exc
-            if record.id in seen_ids:
-                raise CorpusLoadError(
-                    f"{path}:{lineno}: duplicate id {record.id!r} "
-                    f"(first seen on line {seen_ids[record.id]})"
-                )
-            seen_ids[record.id] = lineno
-            records.append(record)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # also huge ints, deep nests
+                    raise CorpusLoadError(
+                        f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}"
+                    ) from exc
+                if not isinstance(obj, dict):
+                    raise CorpusLoadError(f"{path}:{lineno}: expected a JSON object")
+                try:
+                    record = _record_from_object(obj, config, memo)
+                except ValueError as exc:
+                    raise CorpusLoadError(f"{path}:{lineno}: {exc}") from exc
+                if record.id in seen_ids:
+                    raise CorpusLoadError(
+                        f"{path}:{lineno}: duplicate id {record.id!r} "
+                        f"(first seen on line {seen_ids[record.id]})"
+                    )
+                seen_ids[record.id] = lineno
+                records.append(record)
+        except UnicodeDecodeError as exc:
+            # the reader decodes 8 KB chunks, so the lines read so far do not
+            # place the bad byte: read again with undecodable bytes escaped
+            with path.open("r", encoding="utf-8", errors="surrogateescape") as again:
+                bad = next((n for n, text in enumerate(again, start=1)
+                            if re.search("[\udc80-\udcff]", text)), "?")
+            raise CorpusLoadError(f"{path}:{bad}: not valid UTF-8") from exc
     return Corpus(records=tuple(records), name=name if name is not None else path.stem)
 

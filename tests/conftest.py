@@ -55,6 +55,26 @@ BART_SHIFTED_LINES = [
 ]
 
 
+def _valid_lines(count: int) -> bytes:
+    return "".join(
+        json.dumps({"id": f"s{i}", "summary": "a line of plain summary text",
+                    "architecture": "A", "test_dataset": "d"}) + "\n"
+        for i in range(count)
+    ).encode()
+
+
+# Corpus files that no JSON-Lines reader can take, as (content, the line that
+# holds the fault, the error it gets): a byte that is not UTF-8 after more
+# than the reader's 8 KB first chunk, an integer of more digits than Python
+# converts, and an array nested deeper than the parser recurses.
+UNREADABLE_CORPORA = {
+    "not_utf8": (_valid_lines(300) + b'{"id": "s\xff"}\n' + _valid_lines(1), 301,
+                 "not valid UTF-8"),
+    "huge_int": (_valid_lines(1) + b'{"id": ' + b"1" * 5000 + b"}\n", 2, "invalid JSON"),
+    "deep_nest": (_valid_lines(1) + b"[" * 100_000 + b"\n", 2, "invalid JSON"),
+}
+
+
 def write_jsonl(path: Path, objects) -> Path:
     with path.open("w", encoding="utf-8") as fh:
         for obj in objects:

@@ -15,7 +15,7 @@ from repscope.config import AnalysisConfig
 from repscope.corpus import TokenizerConfig
 from repscope.regression import RegressionSpec
 
-from conftest import child_env, write_jsonl
+from conftest import UNREADABLE_CORPORA, child_env, write_jsonl
 
 
 def read_csv(path):
@@ -25,6 +25,13 @@ def read_csv(path):
 
 def dir_snapshot(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def single_error_line(err: str) -> str:
+    """The one ``error:`` line of a failed run's stderr, which has no traceback."""
+    error_lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(error_lines) == 1 and "Traceback" not in err, err
+    return error_lines[0]
 
 
 class TestScore:
@@ -68,6 +75,16 @@ class TestScore:
         assert "bad1.jsonl:1" in err
         assert "missing.jsonl" in err
 
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_CORPORA))
+    def test_unreadable_corpus_exits_1(self, tmp_path, capsys, case):
+        content, lineno, message = UNREADABLE_CORPORA[case]
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["score", str(path), "--output-dir", str(out)]) == 1
+        assert f"bad.jsonl:{lineno}: {message}" in single_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
     def test_duplicate_corpus_names_rejected(self, tmp_path, capsys):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -108,6 +125,14 @@ class TestRepeats:
         assert main(["repeats", str(path), "--min-count", "10", "--output-dir", str(out)]) == 0
         assert read_csv(out / "repeats.csv") == []
         assert (out / "repeats.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("command", ["repeats", "report-all"])
+    def test_limit_below_1_exits_1_before_any_corpus_is_read(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        missing = tmp_path / "missing.jsonl"
+        assert main([command, str(missing), "--limit", "0", "--output-dir", str(out)]) == 1
+        assert single_error_line(capsys.readouterr().err) == "error: --limit must be >= 1, got 0"
+        assert not out.exists()
 
     def test_with_ids_flag(self, tmp_path):
         path = self._toy(tmp_path)
@@ -467,6 +492,21 @@ class TestConfigHandling:
         assert code == 1
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"min_n": 3, "output_formats": ["csv\xff"]}', "config is not valid UTF-8"),
+        (b'{"min_n": ' + b"1" * 5000 + b"}", "invalid JSON in config"),
+        (b"[" * 100_000, "invalid JSON in config"),
+    ], ids=["not_utf8", "huge_int", "deep_nest"])
+    def test_unreadable_config_exits_1(self, fixture_corpora, tmp_path, capsys, content, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(content)
+        out = tmp_path / "out"
+        code = main(["score", *fixture_corpora, "--config", str(config_path),
+                     "--output-dir", str(out)])
+        assert code == 1
+        assert f"config.json: {message}" in single_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
     def test_tokenizer_flags(self, tmp_path):
         lines = [
             {"id": "s1", "summary": "Alpha Beta Gamma Delta", "architecture": "H",
@@ -519,17 +559,24 @@ class TestReportAll:
         assert "lr_test.json" in names
         assert "run_manifest.json" in names
 
-    def test_abstractiveness_skipped_without_inputs(self, tmp_path, capsys):
+    @pytest.mark.parametrize("inputs", [(None, None), ("a b c", None)],
+                             ids=["no_record_has_input", "one_record_lacks_input"])
+    def test_abstractiveness_skipped_without_inputs(self, tmp_path, capsys, inputs):
         lines = [
             {"id": "s1", "summary": "a b c d e f", "architecture": "Human", "test_dataset": "d"},
             {"id": "s2", "summary": "a b c d x y", "architecture": "Human", "test_dataset": "d"},
         ]
+        for line, text in zip(lines, inputs):
+            if text is not None:
+                line["input"] = text
         path = write_jsonl(tmp_path / "noinput.jsonl", lines)
         out = tmp_path / "out"
         assert main(["report-all", str(path), "--output-dir", str(out)]) == 0
-        assert not (out / "abstractiveness_noinput.csv").exists()
+        assert not list(out.glob("abstractiveness_noinput.*"))
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert any("abstractiveness skipped" in note for note in manifest["notes"])
+        assert manifest["notes"][0] == (
+            "abstractiveness skipped for 'noinput': records lack paired inputs"
+        )
         assert any("regression skipped" in note for note in manifest["notes"])
 
 

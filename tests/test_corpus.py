@@ -16,7 +16,7 @@ from repscope.corpus import (
 )
 from repscope.errors import CorpusLoadError, InputError
 
-from conftest import write_jsonl
+from conftest import UNREADABLE_CORPORA, write_jsonl
 
 # Units that decide the tokenizer's output: ASCII and Unicode P* punctuation
 # at unit edges, interior punctuation, and letters whose case mapping changes
@@ -191,6 +191,14 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "s1", "summary": "ok", "architecture": "A", "test_dataset": "d"}\n{oops\n')
         with pytest.raises(CorpusLoadError, match=r"c\.jsonl:2: invalid JSON"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_CORPORA))
+    def test_unreadable_line_reports_line(self, tmp_path, case):
+        content, lineno, message = UNREADABLE_CORPORA[case]
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(CorpusLoadError, match=rf"c\.jsonl:{lineno}: {message}"):
             load_corpus(path)
 
     def test_non_object_line_rejected(self, tmp_path):
