@@ -56,5 +56,5 @@ for row in top_repeats(index, limit=12, min_count=25):
     print(f"  {row.count}/{row.corpus_size}  {' '.join(row.ngram)}")
 
 print("\nfirst export lines (the JSONL interchange format):")
-for line in index_export_lines(index, top_repeats(index, limit=3)):
+for line in index_export_lines(top_repeats(index, limit=3)):
     print(" ", line)

@@ -9,7 +9,7 @@ from repscope import (
     Corpus,
     SummaryRecord,
     TokenizerConfig,
-    abstractiveness,
+    abstractiveness_rows,
     length_statistics,
     tokenize,
 )
@@ -50,11 +50,9 @@ print(f"summary lengths: mean {stats.mean:.1f}, median {stats.median:.1f}, "
       f"min {stats.minimum}, max {stats.maximum}\n")
 
 print("percent of summary n-grams absent from the paired input:")
-for n in (1, 2, 3, 4):
-    row = abstractiveness(corpus, n)
-    print(f"  n={n}: {row.percent_novel:6.2f}%")
+for row in abstractiveness_rows(corpus, (1, 2, 3, 4)):
+    print(f"  n={row.n}: {row.percent_novel:6.2f}%")
 
 print("\nsame metric averaged per summary instead of per instance:")
-for n in (1, 2):
-    row = abstractiveness(corpus, n, per_summary_average=True)
-    print(f"  n={n}: {row.percent_novel:6.2f}%")
+for row in abstractiveness_rows(corpus, (1, 2), per_summary_average=True):
+    print(f"  n={row.n}: {row.percent_novel:6.2f}%")

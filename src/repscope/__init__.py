@@ -32,7 +32,7 @@ from .metrics import (
     DatasetRepetitionScore,
     LengthStats,
     SummaryRepetitionScore,
-    abstractiveness,
+    abstractiveness_rows,
     dataset_repetition_score,
     length_statistics,
     summary_repetition_score,
@@ -81,7 +81,7 @@ __all__ = [
     "SummaryRepetitionScore",
     "TokenSequence",
     "TokenizerConfig",
-    "abstractiveness",
+    "abstractiveness_rows",
     "build_design_matrix",
     "build_repetition_index",
     "dataset_repetition_score",

@@ -263,15 +263,11 @@ def _emit_repeats(
     run: _Run, corpus: Corpus, index, args: argparse.Namespace, *, suffix: str = ""
 ) -> None:
     rows = top_repeats(index, args.limit, args.min_count)
-    by_id = {rec.id: rec for rec in corpus.records}
-    examples = {}
-    for row in rows:
-        first_id = min(index.entries[row.ngram])
-        examples[row.ngram] = (first_id, by_id[first_id].summary.text)
-    export = "".join(line + "\n" for line in index_export_lines(index, rows, with_ids=args.with_ids))
+    export = "".join(line + "\n" for line in index_export_lines(rows, with_ids=args.with_ids))
     run.write(f"repeats{suffix}.jsonl", export)
+    texts = {rec.id: rec.summary.text for rec in corpus.records}
     run.emit(
-        f"repeats{suffix}", rows, examples,
+        f"repeats{suffix}", rows, texts,
         csv=reports.repeats_csv, markdown=reports.repeats_markdown,
     )
 
@@ -361,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
         _remove_manifest(Path(config.output_dir) / MANIFEST)
         if getattr(args, "limit", 1) < 1:
             raise InputError(f"--limit must be >= 1, got {args.limit}")
+        if getattr(args, "min_count", 2) < 2:
+            raise InputError(f"--min-count must be >= 2, got {args.min_count}")
         corpora = _load_corpora(args.corpora, config.tokenizer)
         run = _Run(args.command, config, args.corpora)
         args.func(run, corpora, args)

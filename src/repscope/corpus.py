@@ -145,9 +145,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.records)
 
-    def ids(self) -> frozenset[str]:
-        return frozenset(rec.id for rec in self.records)
-
 
 def _record_from_object(
     obj: dict, config: TokenizerConfig, memo: dict[str, tuple[str, ...]]
@@ -171,12 +168,7 @@ def _record_from_object(
     )
 
 
-def load_corpus(
-    path: str | Path,
-    config: TokenizerConfig | None = None,
-    *,
-    name: str | None = None,
-) -> Corpus:
+def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corpus:
     """Load a JSON-Lines corpus file, one summary record per line.
 
     Each line is an object with required fields "id", "summary",
@@ -224,5 +216,5 @@ def load_corpus(
                 bad = next((n for n, text in enumerate(again, start=1)
                             if re.search("[\udc80-\udcff]", text)), "?")
             raise CorpusLoadError(f"{path}:{bad}: not valid UTF-8") from exc
-    return Corpus(records=tuple(records), name=name if name is not None else path.stem)
+    return Corpus(records=tuple(records), name=path.stem)
 

@@ -89,7 +89,7 @@ def dataset_repetition_score(corpus: Corpus, index: RepetitionIndex) -> DatasetR
     from the Eq.1 tallies: a summary repeats exactly when its m is above 0."""
     if not corpus.records:
         raise EmptyCorpusError(f"corpus {corpus.name!r} has no records to score")
-    if index.tallies.keys() != corpus.ids():
+    if index.tallies.keys() != {rec.id for rec in corpus.records}:
         raise ValueError("index was not built over this corpus")
     repeating = sum(1 for m, _, _, _ in index.tallies.values() if m)
     total = len(corpus.records)
@@ -99,13 +99,6 @@ def dataset_repetition_score(corpus: Corpus, index: RepetitionIndex) -> DatasetR
         total_summaries=total,
         score=repeating / total,
     )
-
-
-def abstractiveness(
-    corpus: Corpus, n: int, *, per_summary_average: bool = False
-) -> AbstractivenessRow:
-    """abstractiveness_rows for the single length n."""
-    return abstractiveness_rows(corpus, (n,), per_summary_average=per_summary_average)[0]
 
 
 def abstractiveness_rows(

@@ -10,6 +10,7 @@ the summary n-grams that occur in a record's own input (abstractiveness).
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass
@@ -42,9 +43,6 @@ class RepetitionIndex:
     max_observed_n: int
     corpus_size: int
     tallies: dict[str, tuple[int, int, int, int]]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -224,30 +222,36 @@ def paired_window_matches(records: Sequence[SummaryRecord], max_n: int) -> dict[
 
 
 class RepeatRow(NamedTuple):
+    """One repeating n-gram as the repeat reports print it: the summaries
+    holding it, how many, and the corpus size for count/total displays."""
+
     ngram: NGram
     count: int
     corpus_size: int
+    ids: frozenset[str]
+
+    @property
+    def example_id(self) -> str:
+        """The summary the reports quote for this n-gram: the smallest id."""
+        return min(self.ids)
 
 
 def top_repeats(index: RepetitionIndex, limit: int, min_count: int = 2) -> list[RepeatRow]:
     """Most widely shared n-grams, count descending; ties go to the longer
-    n-gram, then lexicographic token order. Each row carries the corpus
-    size for count/total displays."""
+    n-gram, then lexicographic token order. Token tuples are unique, so the
+    order is total and only the rows kept are ranked."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    counted = [(gram, len(ids)) for gram, ids in index.entries.items() if len(ids) >= min_count]
-    counted.sort(key=lambda item: (-item[1], -len(item[0]), item[0]))
-    return [RepeatRow(gram, count, index.corpus_size) for gram, count in counted[:limit]]
+    counted = ((gram, ids) for gram, ids in index.entries.items() if len(ids) >= min_count)
+    top = heapq.nsmallest(limit, counted, key=lambda item: (-len(item[1]), -len(item[0]), item[0]))
+    return [RepeatRow(gram, len(ids), index.corpus_size, ids) for gram, ids in top]
 
 
-def index_export_lines(
-    index: RepetitionIndex, rows: Sequence[RepeatRow], *, with_ids: bool = False
-) -> Iterator[str]:
-    """JSON-Lines export of the given rows of the index (as top_repeats
-    returned them), one object per n-gram. Containing summary ids are
-    included only on request."""
+def index_export_lines(rows: Sequence[RepeatRow], *, with_ids: bool = False) -> Iterator[str]:
+    """JSON-Lines export of the rows top_repeats returned, one object per
+    n-gram; the containing summary ids only on request."""
     for row in rows:
         obj: dict = {"ngram": list(row.ngram), "n": len(row.ngram), "count": row.count}
         if with_ids:
-            obj["ids"] = sorted(index.entries[row.ngram])
+            obj["ids"] = sorted(row.ids)
         yield json.dumps(obj, ensure_ascii=False)

@@ -12,7 +12,7 @@ import hashlib
 import io
 import json
 from dataclasses import asdict
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .metrics import (
     AbstractivenessRow,
@@ -111,30 +111,26 @@ def summary_scores_csv(scores: Sequence[SummaryRepetitionScore]) -> str:
 # repeating n-gram reports
 
 
-def repeats_csv(rows: Sequence[RepeatRow], examples: dict[tuple, tuple[str, str]]) -> str:
-    out = []
-    for row in rows:
-        example_id, example_text = examples.get(row.ngram, ("", ""))
-        out.append(
-            (
-                " ".join(row.ngram),
-                len(row.ngram),
-                row.count,
-                row.corpus_size,
-                format_freq(row.count, row.corpus_size),
-                example_id,
-                example_text,
-            )
-        )
-    return csv_text(("ngram", "n", "count", "total", "freq", "example_id", "example"), out)
+def repeats_csv(rows: Sequence[RepeatRow], texts: Mapping[str, str]) -> str:
+    """Rows with their example summary, whose raw text ``texts`` maps by id."""
+    return csv_text(
+        ("ngram", "n", "count", "total", "freq", "example_id", "example"),
+        [
+            (" ".join(row.ngram), len(row.ngram), row.count, row.corpus_size,
+             format_freq(row.count, row.corpus_size), row.example_id, texts[row.example_id])
+            for row in rows
+        ],
+    )
 
 
-def repeats_markdown(rows: Sequence[RepeatRow], examples: dict[tuple, tuple[str, str]]) -> str:
-    body = []
-    for row in rows:
-        _, example_text = examples.get(row.ngram, ("", ""))
-        body.append((" ".join(row.ngram), format_freq(row.count, row.corpus_size), example_text))
-    return markdown_table(("Repeating n-gram", "Freq", "Example"), body)
+def repeats_markdown(rows: Sequence[RepeatRow], texts: Mapping[str, str]) -> str:
+    return markdown_table(
+        ("Repeating n-gram", "Freq", "Example"),
+        [
+            (" ".join(row.ngram), format_freq(row.count, row.corpus_size), texts[row.example_id])
+            for row in rows
+        ],
+    )
 
 
 # abstractiveness
@@ -148,19 +144,11 @@ def abstractiveness_csv(rows: Sequence[AbstractivenessRow]) -> str:
 
 
 def abstractiveness_markdown(rows: Sequence[AbstractivenessRow]) -> str:
-    by_dataset: dict[str, dict[int, float]] = {}
-    ns: list[int] = []
-    for row in rows:
-        by_dataset.setdefault(row.dataset, {})[row.n] = row.percent_novel
-        if row.n not in ns:
-            ns.append(row.n)
-    header = ["Dataset"] + [ngram_size_label(n) for n in ns]
-    body = []
-    for dataset, values in by_dataset.items():
-        body.append(
-            [dataset] + [f"{values[n]:.2f}" if n in values else "" for n in ns]
-        )
-    return markdown_table(header, body)
+    """One corpus's rows as one table row, a column per n in the rows' order."""
+    return markdown_table(
+        ["Dataset"] + [ngram_size_label(r.n) for r in rows],
+        [[rows[0].dataset] + [f"{r.percent_novel:.2f}" for r in rows]],
+    )
 
 
 def abstractiveness_json(rows: Sequence[AbstractivenessRow]) -> str:

@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from repscope.corpus import Corpus, SummaryRecord, TokenSequence, load_corpus
-from repscope.metrics import abstractiveness, dataset_repetition_score, summary_repetition_score
+from repscope.metrics import (
+    abstractiveness_rows,
+    dataset_repetition_score,
+    summary_repetition_score,
+)
 from repscope.ngrams import build_repetition_index
 from repscope.regression import (
     DesignMatrix,
@@ -431,7 +435,7 @@ def test_reproduces_published_human_reference_values():
             failures.append(f"{name}: repetition {got:.3f} vs {expected_score:.2f}")
         if all(rec.input is not None for rec in corpus.records):
             for n, expected_pct in HUMAN_ABSTRACTIVENESS[name].items():
-                got_pct = abstractiveness(corpus, n).percent_novel
+                got_pct = abstractiveness_rows(corpus, (n,))[0].percent_novel
                 if abs(got_pct - expected_pct) > 2.0:
                     failures.append(
                         f"{name}: abstractiveness n={n} {got_pct:.2f} vs {expected_pct:.2f}"

@@ -134,6 +134,14 @@ class TestRepeats:
         assert single_error_line(capsys.readouterr().err) == "error: --limit must be >= 1, got 0"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["repeats", "report-all"])
+    def test_min_count_below_2_exits_1_before_any_corpus_is_read(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        missing = tmp_path / "missing.jsonl"
+        assert main([command, str(missing), "--min-count", "1", "--output-dir", str(out)]) == 1
+        assert single_error_line(capsys.readouterr().err) == "error: --min-count must be >= 2, got 1"
+        assert not out.exists()
+
     def test_with_ids_flag(self, tmp_path):
         path = self._toy(tmp_path)
         out = tmp_path / "out"
@@ -558,6 +566,22 @@ class TestReportAll:
         assert "regression_coefficients.csv" in names
         assert "lr_test.json" in names
         assert "run_manifest.json" in names
+
+    def test_single_corpus_commands_match_report_all(self, fixture_corpora, tmp_path):
+        flags = ["--with-ids", "--limit", "7"]
+        all_out = tmp_path / "all"
+        assert main(["report-all", *fixture_corpora, *flags, "--output-dir", str(all_out)]) == 0
+        for path in fixture_corpora:
+            name = Path(path).stem
+            for command, extra in (("repeats", flags), ("abstractiveness", [])):
+                out = tmp_path / f"{command}_{name}"
+                assert main([command, path, *extra, "--output-dir", str(out)]) == 0
+                written = sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
+                assert len(written) == 3, written
+                for filename in written:
+                    stem, ext = filename.split(".")
+                    twin = all_out / f"{stem}_{name}.{ext}"
+                    assert (out / filename).read_bytes() == twin.read_bytes(), filename
 
     @pytest.mark.parametrize("inputs", [(None, None), ("a b c", None)],
                              ids=["no_record_has_input", "one_record_lacks_input"])

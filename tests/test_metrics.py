@@ -7,7 +7,6 @@ from repscope.corpus import Corpus
 from repscope.errors import EmptyCorpusError, MissingPairedInputError
 from repscope import metrics
 from repscope.metrics import (
-    abstractiveness,
     abstractiveness_rows,
     dataset_repetition_score,
     length_statistics,
@@ -164,7 +163,7 @@ class TestAbstractiveness:
         records = [make_record("s1", list("abcdef"), input_tokens=list("abcdef"))]
         corpus = Corpus(records=tuple(records), name="copy")
         for n in (1, 2, 3, 4):
-            assert abstractiveness(corpus, n).percent_novel == 0.0
+            assert abstractiveness_rows(corpus, (n,))[0].percent_novel == 0.0
 
     def test_disjoint_vocabulary_is_hundred(self):
         records = [make_record("s1", list("abcdef"), input_tokens=list("uvwxyz"))]
@@ -176,7 +175,7 @@ class TestAbstractiveness:
         for recs in (records, crossed):
             corpus = Corpus(records=tuple(recs), name="disjoint")
             for n in (1, 2, 3, 4):
-                assert abstractiveness(corpus, n).percent_novel == 100.0
+                assert abstractiveness_rows(corpus, (n,))[0].percent_novel == 100.0
 
     def _mixed(self):
         return Corpus(
@@ -191,19 +190,19 @@ class TestAbstractiveness:
 
     def test_mixed_fixture_hand_counts(self):
         corpus = self._mixed()
-        assert abstractiveness(corpus, 1).percent_novel == pytest.approx(300 / 7)
-        assert abstractiveness(corpus, 2).percent_novel == pytest.approx(50.0)
+        assert abstractiveness_rows(corpus, (1,))[0].percent_novel == pytest.approx(300 / 7)
+        assert abstractiveness_rows(corpus, (2,))[0].percent_novel == pytest.approx(50.0)
 
     def test_per_summary_average_mode(self):
         corpus = self._mixed()
-        row = abstractiveness(corpus, 1, per_summary_average=True)
+        row = abstractiveness_rows(corpus, (1,), per_summary_average=True)[0]
         assert row.percent_novel == pytest.approx(50.0)
 
     def test_summaries_shorter_than_n_contribute_nothing(self):
         corpus = Corpus(
             records=(make_record("s1", ["a"], input_tokens=["b"]),), name="short"
         )
-        assert abstractiveness(corpus, 4).percent_novel == 0.0
+        assert abstractiveness_rows(corpus, (4,))[0].percent_novel == 0.0
         assert abstractiveness_rows(corpus, (10**12,))[0].percent_novel == 0.0
 
     def test_missing_input_names_records(self):
@@ -215,7 +214,7 @@ class TestAbstractiveness:
             name="m",
         )
         with pytest.raises(MissingPairedInputError, match="bad") as info:
-            abstractiveness(corpus, 2)
+            abstractiveness_rows(corpus, (2,))[0]
         assert info.value.record_ids == ["bad"]
 
     def test_bounds_on_random_corpora(self):
@@ -232,11 +231,11 @@ class TestAbstractiveness:
             )
             corpus = Corpus(records=records, name="r")
             for n in (1, 2, 4):
-                assert 0.0 <= abstractiveness(corpus, n).percent_novel <= 100.0
+                assert 0.0 <= abstractiveness_rows(corpus, (n,))[0].percent_novel <= 100.0
 
     def test_n_validated(self):
         with pytest.raises(ValueError):
-            abstractiveness(self._mixed(), 0)
+            abstractiveness_rows(self._mixed(), (0,))[0]
         for ns in ((), (2, 0), (-1,)):
             with pytest.raises(ValueError):
                 abstractiveness_rows(self._mixed(), ns)
@@ -257,7 +256,8 @@ class TestAbstractiveness:
             corpus = Corpus(records=tuple(records), name="r")
             for n in (1, 2, 3, 4):
                 for average in (False, True):
-                    got = abstractiveness(corpus, n, per_summary_average=average).percent_novel
+                    (row,) = abstractiveness_rows(corpus, (n,), per_summary_average=average)
+                    got = row.percent_novel
                     assert got == abstractiveness_oracle(corpus, n, per_summary_average=average)
             # all lengths in one call, unsorted; summaries hold at most 30 tokens
             ns = (4, 1, 9, 2, 3, 31)

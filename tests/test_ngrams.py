@@ -126,13 +126,29 @@ class TestTopRepeats:
         assert [" ".join(r.ngram) for r in rows] == ["a b c d", "w x y z"]
 
 
+    def test_rows_equal_prefix_of_full_sort(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            corpus = random_corpus(rng, max_summaries=40, vocab_lo=2, vocab_hi=6)
+            index = build_repetition_index(corpus)
+            ranked = sorted(index.entries.items(), key=lambda e: (-len(e[1]), -len(e[0]), e[0]))
+            total = len(ranked)
+            for limit in {1, 2, 5, 50, total, total + 1} - {0}:
+                rows = top_repeats(index, limit)
+                assert [(r.ngram, r.ids) for r in rows] == ranked[:limit]
+                for row in rows:
+                    assert row.count == len(row.ids)
+                    assert row.example_id == min(row.ids)
+                    assert row.corpus_size == index.corpus_size
+
+
 class TestExport:
     def test_jsonl_shape_and_order(self):
         index = build_repetition_index(
             corpus_from_token_lists([("s1", list("abcde")), ("s2", list("abcde"))])
         )
         lines = [
-            json.loads(line) for line in index_export_lines(index, top_repeats(index, limit=10))
+            json.loads(line) for line in index_export_lines(top_repeats(index, limit=10))
         ]
         assert [row["n"] for row in lines] == [5, 4, 4]
         assert all(set(row) == {"ngram", "n", "count"} for row in lines)
@@ -142,12 +158,12 @@ class TestExport:
             corpus_from_token_lists([("s2", list("abcd")), ("s1", list("abcd"))])
         )
         rows = top_repeats(index, limit=10)
-        (row,) = [json.loads(line) for line in index_export_lines(index, rows, with_ids=True)]
+        (row,) = [json.loads(line) for line in index_export_lines(rows, with_ids=True)]
         assert row["ids"] == ["s1", "s2"]
 
     def test_empty_index_exports_nothing(self):
         index = build_repetition_index(corpus_from_token_lists([list("abcd"), list("wxyz")]))
-        assert list(index_export_lines(index, top_repeats(index, limit=10))) == []
+        assert list(index_export_lines(top_repeats(index, limit=10))) == []
 
 
 class TestIndexProperties:

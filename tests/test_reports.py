@@ -52,11 +52,11 @@ class TestRenderers:
         )
 
     def test_repeats_rendering(self):
-        row = RepeatRow(("a", "b", "c", "d"), 2, 3)
-        examples = {("a", "b", "c", "d"): ("s1", "a b c d and more")}
-        csv_text = reports.repeats_csv([row], examples)
+        row = RepeatRow(("a", "b", "c", "d"), 2, 3, frozenset({"s2", "s1"}))
+        texts = {"s1": "a b c d and more", "s2": "more a b c d"}
+        csv_text = reports.repeats_csv([row], texts)
         assert "a b c d,4,2,3,2/3,s1,a b c d and more" in csv_text
-        md = reports.repeats_markdown([row], examples)
+        md = reports.repeats_markdown([row], texts)
         assert "| a b c d | 2/3 | a b c d and more |" in md
 
     def test_abstractiveness_markdown_wide_layout(self):
