@@ -6,6 +6,11 @@ against paired inputs, and fits an OLS regression attributing repetition
 to architecture, training data, test data, and domain-shift interactions.
 """
 
+import os
+
+# The only BLAS work is a fit of a few columns: idle OpenBLAS workers would spin for no gain.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .config import AnalysisConfig, load_config

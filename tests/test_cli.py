@@ -622,6 +622,18 @@ print(json.dumps(scipy_modules()))
 """
 
 
+# Fits in one fresh interpreter, then prints the OpenBLAS thread setting and
+# the process's thread count (-1 where /proc/self/task does not exist).
+BLAS_CHILD = """
+import os, sys
+from repscope.cli import main
+
+assert main(["regress", *sys.argv[1:], "--output-dir", "out"]) == 0
+print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else -1)
+"""
+
+
 class TestStartup:
     def test_only_fitting_loads_scipy(self, fixture_corpora, tmp_path):
         proc = subprocess.run(
@@ -632,3 +644,21 @@ class TestStartup:
         before_fit, after_fit = map(json.loads, proc.stdout.splitlines())
         assert before_fit == []
         assert "scipy.linalg" in after_fit and "scipy.optimize" in after_fit
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_openblas_threads_default_to_one(self, fixture_corpora, tmp_path, preset, expected):
+        # conftest imports repscope, so this session's environment already
+        # carries the setting: drop it so the child starts without one
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_CHILD, *fixture_corpora],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        setting, threads = proc.stdout.split()
+        assert setting == expected
+        if preset is None and threads != "-1":
+            assert threads == "1"
