@@ -52,7 +52,3 @@ print(f"summary lengths: mean {stats.mean:.1f}, median {stats.median:.1f}, "
 print("percent of summary n-grams absent from the paired input:")
 for row in abstractiveness_rows(corpus, (1, 2, 3, 4)):
     print(f"  n={row.n}: {row.percent_novel:6.2f}%")
-
-print("\nsame metric averaged per summary instead of per instance:")
-for row in abstractiveness_rows(corpus, (1, 2), per_summary_average=True):
-    print(f"  n={row.n}: {row.percent_novel:6.2f}%")

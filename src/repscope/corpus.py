@@ -14,7 +14,7 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CorpusLoadError, InputError
+from .errors import CorpusLoadError, EmptyCorpusError, InputError
 
 REQUIRED_FIELDS = ("id", "summary", "architecture", "test_dataset")
 OPTIONAL_FIELDS = ("input", "train_dataset")
@@ -128,14 +128,17 @@ class SummaryRecord:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered, immutable collection of records sharing one tokenizer."""
+    """An ordered, immutable, non-empty collection of records sharing one
+    tokenizer."""
 
     records: tuple[SummaryRecord, ...]
     name: str = ""
 
     def __post_init__(self):
-        # load_corpus checks ids first to name the lines; this guards a
-        # Corpus built in code
+        # load_corpus checks both conditions first, to name the file and the
+        # line; this guards a Corpus built in code
+        if not self.records:
+            raise EmptyCorpusError(f"corpus {self.name!r} has no records")
         seen: set[str] = set()
         for rec in self.records:
             if rec.id in seen:
@@ -216,5 +219,7 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
                 bad = next((n for n, text in enumerate(again, start=1)
                             if re.search("[\udc80-\udcff]", text)), "?")
             raise CorpusLoadError(f"{path}:{bad}: not valid UTF-8") from exc
+    if not records:
+        raise EmptyCorpusError(f"{path}: no records")
     return Corpus(records=tuple(records), name=path.stem)
 

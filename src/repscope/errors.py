@@ -19,7 +19,7 @@ class CorpusLoadError(InputError):
 
 
 class EmptyCorpusError(InputError):
-    """An operation that needs at least one summary got an empty corpus."""
+    """A corpus file, or a Corpus built in code, holds no records."""
 
 
 class MissingPairedInputError(InputError):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, SummaryRecord
-from .errors import EmptyCorpusError, MissingPairedInputError
+from .errors import MissingPairedInputError
 from .ngrams import RepetitionIndex, paired_window_matches
 
 SCORE_MODES = ("all_ngrams", "maximal_only")
@@ -87,8 +88,6 @@ def summary_repetition_score(
 def dataset_repetition_score(corpus: Corpus, index: RepetitionIndex) -> DatasetRepetitionScore:
     """Fraction of summaries containing at least one repeating n-gram, read
     from the Eq.1 tallies: a summary repeats exactly when its m is above 0."""
-    if not corpus.records:
-        raise EmptyCorpusError(f"corpus {corpus.name!r} has no records to score")
     if index.tallies.keys() != {rec.id for rec in corpus.records}:
         raise ValueError("index was not built over this corpus")
     repeating = sum(1 for m, _, _, _ in index.tallies.values() if m)
@@ -101,41 +100,27 @@ def dataset_repetition_score(corpus: Corpus, index: RepetitionIndex) -> DatasetR
     )
 
 
-def abstractiveness_rows(
-    corpus: Corpus, ns: Sequence[int], *, per_summary_average: bool = False
-) -> list[AbstractivenessRow]:
+def abstractiveness_rows(corpus: Corpus, ns: Sequence[int]) -> list[AbstractivenessRow]:
     """Percent of summary n-gram instances that never occur in the paired
     input document, one row for each n in ns, in that order.
 
     Instances are counted with multiplicity and aggregated over the corpus;
-    summaries shorter than n contribute nothing. With per_summary_average,
-    each summary's novel fraction is averaged instead (equal weight per
-    summary regardless of length).
+    summaries shorter than n contribute nothing.
     """
     if not ns or min(ns) < 1:
         raise ValueError(f"every n must be >= 1, got {list(ns)}")
-    if not corpus.records:
-        raise EmptyCorpusError(f"corpus {corpus.name!r} has no records")
     missing = [rec.id for rec in corpus.records if rec.input is None]
     if missing:
         raise MissingPairedInputError(missing)
 
-    matches = {n: [] for n in ns}
+    matched: Counter[int] = Counter()
     for block in _blocks(corpus.records):
-        found = paired_window_matches(block, max(ns))
-        for n, counts in matches.items():
-            counts.extend(found.get(n, [0] * len(block)))
+        matched.update(paired_window_matches(block, max(ns)))
     lengths = [rec.length_tokens for rec in corpus.records]
     rows = []
     for n in ns:
-        windows = [max(0, length - n + 1) for length in lengths]
-        novel = [w - m for w, m in zip(windows, matches[n])]
-        if per_summary_average:
-            fractions = [v / w for v, w in zip(novel, windows) if w]
-            percent = 100.0 * statistics.fmean(fractions) if fractions else 0.0
-        else:
-            total = sum(windows)
-            percent = 100.0 * sum(novel) / total if total else 0.0
+        total = sum(max(0, length - n + 1) for length in lengths)
+        percent = 100.0 * (total - matched[n]) / total if total else 0.0
         rows.append(AbstractivenessRow(dataset=corpus.name, n=n, percent_novel=percent))
     return rows
 
@@ -156,8 +141,6 @@ def _blocks(records: Sequence[SummaryRecord]) -> Iterator[list[SummaryRecord]]:
 
 def length_statistics(corpus: Corpus) -> LengthStats:
     """Mean, median, min, max of summary token counts."""
-    if not corpus.records:
-        raise EmptyCorpusError(f"corpus {corpus.name!r} has no records")
     lengths = [rec.length_tokens for rec in corpus.records]
     return LengthStats(
         mean=statistics.fmean(lengths),

@@ -20,7 +20,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Corpus, SummaryRecord
-from .errors import EmptyCorpusError
 
 NGram = tuple[str, ...]
 
@@ -134,8 +133,6 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     """
     if min_n < 1:
         raise ValueError(f"min_n must be >= 1, got {min_n}")
-    if not corpus.records:
-        raise EmptyCorpusError(f"corpus {corpus.name!r} has no records to index")
 
     summary_ids = [rec.id for rec in corpus.records]
     token_lists = [rec.summary.tokens for rec in corpus.records]
@@ -206,18 +203,18 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     )
 
 
-def paired_window_matches(records: Sequence[SummaryRecord], max_n: int) -> dict[int, list[int]]:
+def paired_window_matches(records: Sequence[SummaryRecord], max_n: int) -> dict[int, int]:
     """For each n up to max_n at which any match exists, how many summary
-    n-windows of each record also occur in its own input. Record r's summary
-    is document 2r and its input 2r + 1, and a token's key is its id *
-    len(records) + r, so a class that two documents hold is exactly an
-    n-gram found in both the summary and the input of one record."""
+    n-windows, over all the records, also occur in their own record's input.
+    Record r's summary is document 2r and its input 2r + 1, and a token's key
+    is its id * len(records) + r, so a class that two documents hold is
+    exactly an n-gram found in both the summary and the input of one record."""
     n_records = len(records)
     key, doc, _ = _encode([seq.tokens for rec in records for seq in (rec.summary, rec.input)])
     matches = {}
     levels = _shared_levels(key * n_records + doc // 2, doc, 2 * n_records, max_n)
     for n, _, doc, _, keep, *_ in levels:
-        matches[n] = np.bincount(doc[keep], minlength=2 * n_records)[::2].tolist()
+        matches[n] = int(np.count_nonzero(doc[keep] % 2 == 0))
     return matches
 
 

@@ -86,10 +86,6 @@ class RegressionFit:
     n_params: int
     confidence_level: float
 
-    @property
-    def degrees_of_freedom(self) -> int:
-        return self.n_rows - self.n_params
-
 
 @dataclass(frozen=True)
 class LrTestResult:

@@ -136,23 +136,6 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     )
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"a and b must be positive, got a={a}, b={b}")
-    if x < 0 or x > 1:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    # orient so the directly computed piece is the smaller tail
-    if x > (a + 1.0) / (a + b + 2.0):
-        xc = 1.0 - x
-        return 1.0 - _beta_oriented(b, a, xc, math.log(xc), math.log1p(-xc))
-    return _beta_oriented(a, b, x, math.log(x), math.log1p(-x))
-
-
 def _ln_gamma_front(a: float, x: float) -> float:
     """ln( x^a e^-x / Gamma(a) ) without large-argument cancellation."""
     if a < 10.0:
@@ -198,21 +181,6 @@ def _upper_gamma_continued_fraction(a: float, x: float) -> float:
     )
 
 
-def regularized_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x) = Gamma(a, x) / Gamma(a) for a > 0, x >= 0."""
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_continued_fraction(a, x)
-
-
 def t_two_sided_p(t: float, df: float) -> float:
     """Two-sided tail probability 2*(1 - CDF(|t|)) of Student's t.
 
@@ -227,9 +195,9 @@ def t_two_sided_p(t: float, df: float) -> float:
         raise ValueError("t statistic is NaN")
     if math.isinf(t):
         return 0.0
-    if t == 0.0:
-        return 1.0
     t2 = t * t
+    if t2 == 0.0:  # also below |t| of about 1.5e-162, where the tail is 1.0 in doubles
+        return 1.0
     denom = df + t2
     x = df / denom
     z = t2 / denom
@@ -243,12 +211,21 @@ def t_two_sided_p(t: float, df: float) -> float:
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """Upper tail P(X >= x) of the chi-square distribution."""
+    """Upper tail P(X >= x) of the chi-square distribution: the regularized
+    upper incomplete gamma Q(a, u) = Gamma(a, u) / Gamma(a) at a = df/2,
+    u = x/2."""
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
-    return regularized_upper_gamma(0.5 * df, 0.5 * x)
+    a, u = 0.5 * df, 0.5 * x
+    if u == 0.0:
+        return 1.0
+    if math.isinf(u):
+        return 0.0
+    if u < a + 1.0:
+        return 1.0 - _lower_gamma_series(a, u)
+    return _upper_gamma_continued_fraction(a, u)
 
 
 def t_critical(confidence_level: float, df: float) -> float:

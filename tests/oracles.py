@@ -9,7 +9,6 @@ adaptive quadrature.
 from __future__ import annotations
 
 import math
-import statistics
 
 import numpy as np
 from scipy.integrate import quad
@@ -139,12 +138,11 @@ def eq1_oracle(
     return len(types), raw, math.log(raw + 1)
 
 
-def abstractiveness_oracle(corpus: Corpus, n: int, *, per_summary_average: bool = False) -> float:
+def abstractiveness_oracle(corpus: Corpus, n: int) -> float:
     """Percent of novel summary n-grams, comparing each summary window with
     every input window in turn; same arithmetic as the production code."""
     novel_instances = 0
     total_instances = 0
-    fractions = []
     for rec in corpus.records:
         summary, source = rec.summary.tokens, rec.input.tokens
         windows = [summary[i : i + n] for i in range(len(summary) - n + 1)]
@@ -157,9 +155,6 @@ def abstractiveness_oracle(corpus: Corpus, n: int, *, per_summary_average: bool 
                 novel += 1
         novel_instances += novel
         total_instances += len(windows)
-        fractions.append(novel / len(windows))
-    if per_summary_average:
-        return 100.0 * statistics.fmean(fractions) if fractions else 0.0
     return 100.0 * novel_instances / total_instances if total_instances else 0.0
 
 

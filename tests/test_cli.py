@@ -85,6 +85,17 @@ class TestScore:
         assert f"bad.jsonl:{lineno}: {message}" in single_error_line(capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["score", "repeats", "abstractiveness", "regress",
+                                         "report-all"])
+    @pytest.mark.parametrize("content", ["", "\n  \n\t\n"], ids=["empty", "blank_lines"])
+    def test_empty_corpus_exits_1_naming_file(self, tmp_path, capsys, command, content):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(content, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, str(path), "--output-dir", str(out)]) == 1
+        assert single_error_line(capsys.readouterr().err) == f"error: {path}: no records"
+        assert not out.exists()
+
     def test_duplicate_corpus_names_rejected(self, tmp_path, capsys):
         a = tmp_path / "a"
         b = tmp_path / "b"

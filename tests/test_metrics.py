@@ -193,11 +193,6 @@ class TestAbstractiveness:
         assert abstractiveness_rows(corpus, (1,))[0].percent_novel == pytest.approx(300 / 7)
         assert abstractiveness_rows(corpus, (2,))[0].percent_novel == pytest.approx(50.0)
 
-    def test_per_summary_average_mode(self):
-        corpus = self._mixed()
-        row = abstractiveness_rows(corpus, (1,), per_summary_average=True)[0]
-        assert row.percent_novel == pytest.approx(50.0)
-
     def test_summaries_shorter_than_n_contribute_nothing(self):
         corpus = Corpus(
             records=(make_record("s1", ["a"], input_tokens=["b"]),), name="short"
@@ -255,19 +250,14 @@ class TestAbstractiveness:
                 records.append(make_record(r.id, r.summary.tokens, input_tokens=source))
             corpus = Corpus(records=tuple(records), name="r")
             for n in (1, 2, 3, 4):
-                for average in (False, True):
-                    (row,) = abstractiveness_rows(corpus, (n,), per_summary_average=average)
-                    got = row.percent_novel
-                    assert got == abstractiveness_oracle(corpus, n, per_summary_average=average)
+                (row,) = abstractiveness_rows(corpus, (n,))
+                assert row.percent_novel == abstractiveness_oracle(corpus, n)
             # all lengths in one call, unsorted; summaries hold at most 30 tokens
             ns = (4, 1, 9, 2, 3, 31)
-            for average in (False, True):
-                rows = abstractiveness_rows(corpus, ns, per_summary_average=average)
-                assert [row.n for row in rows] == list(ns)
-                for row in rows:
-                    assert row.percent_novel == abstractiveness_oracle(
-                        corpus, row.n, per_summary_average=average
-                    )
+            rows = abstractiveness_rows(corpus, ns)
+            assert [row.n for row in rows] == list(ns)
+            for row in rows:
+                assert row.percent_novel == abstractiveness_oracle(corpus, row.n)
 
     @pytest.mark.parametrize("block_tokens", [1, 37, 10**9])
     def test_block_size_does_not_change_counts(self, monkeypatch, block_tokens):
@@ -286,13 +276,10 @@ class TestAbstractiveness:
         corpus = Corpus(records=tuple(records), name="blocks")
         monkeypatch.setattr(metrics, "_BLOCK_TOKENS", block_tokens)
         ns = (4, 1, 9, 2, 3)
-        for average in (False, True):
-            rows = abstractiveness_rows(corpus, ns, per_summary_average=average)
-            assert [row.n for row in rows] == list(ns)
-            for row in rows:
-                assert row.percent_novel == abstractiveness_oracle(
-                    corpus, row.n, per_summary_average=average
-                )
+        rows = abstractiveness_rows(corpus, ns)
+        assert [row.n for row in rows] == list(ns)
+        for row in rows:
+            assert row.percent_novel == abstractiveness_oracle(corpus, row.n)
 
 
 class TestLengthStatistics:

@@ -165,7 +165,7 @@ class TestOlsFit:
         fit = ols_fit(DesignMatrix(matrix=X, column_names=("Intercept", "x"), response=y))
         assert fit.coefficients == pytest.approx([1.0, 2.0], abs=1e-12)
         assert fit.rss == pytest.approx(0.0, abs=1e-20)
-        assert fit.degrees_of_freedom == 1
+        assert (fit.n_rows, fit.n_params) == (3, 2)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(41)

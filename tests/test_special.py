@@ -3,13 +3,7 @@ import math
 import pytest
 from scipy import stats
 
-from repscope.special import (
-    chi2_sf,
-    regularized_incomplete_beta,
-    regularized_upper_gamma,
-    t_critical,
-    t_two_sided_p,
-)
+from repscope.special import chi2_sf, t_critical, t_two_sided_p
 
 from oracles import chi2_sf_quad, t_two_sided_quad
 
@@ -21,6 +15,12 @@ class TestTTwoSidedP:
     def test_zero_statistic(self):
         for df in DF_GRID:
             assert t_two_sided_p(0.0, df) == 1.0
+
+    def test_tiny_statistic(self):
+        # t * t underflows to 0 below about 1.5e-162; the tail is 1 there
+        for df in DF_GRID:
+            for t in (1e-170, -1e-170, 5e-324):
+                assert t_two_sided_p(t, df) == 1.0
 
     def test_infinite_statistic(self):
         assert t_two_sided_p(math.inf, 10) == 0.0
@@ -93,42 +93,14 @@ class TestChi2Sf:
 
 
 class TestIncompleteFunctions:
-    def test_beta_edges(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_beta_complement(self):
-        value = regularized_incomplete_beta(3.5, 1.25, 0.4)
-        mirror = regularized_incomplete_beta(1.25, 3.5, 0.6)
-        assert value == pytest.approx(1.0 - mirror, abs=1e-14)
-
-    def test_beta_domain_checks(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 1.0, 1.5)
-
-    def test_beta_against_scipy(self):
-        from scipy.special import betainc
-
-        for a in (0.5, 1.0, 4.0, 40.0, 400.0):
-            for b in (0.5, 2.5, 30.0):
-                for x in (0.01, 0.2, 0.5, 0.8, 0.99):
-                    assert regularized_incomplete_beta(a, b, x) == pytest.approx(
-                        float(betainc(a, b, x)), rel=1e-10, abs=1e-300
-                    ), (a, b, x)
-
-    def test_gamma_edges(self):
-        assert regularized_upper_gamma(2.0, 0.0) == 1.0
-        assert regularized_upper_gamma(2.0, math.inf) == 0.0
-
     def test_gamma_against_scipy(self):
+        # chi2_sf(2x, 2a) is the regularized upper gamma Q(a, x)
         from scipy.special import gammaincc
 
         for a in (0.5, 1.0, 7.5, 120.0, 5e4):
             for mult in (0.2, 0.9, 1.0, 1.3, 4.0):
                 x = a * mult
-                assert regularized_upper_gamma(a, x) == pytest.approx(
+                assert chi2_sf(2 * x, 2 * a) == pytest.approx(
                     float(gammaincc(a, x)), rel=1e-10, abs=1e-300
                 ), (a, x)
 
