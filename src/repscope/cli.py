@@ -173,9 +173,19 @@ def _score_corpus(corpus: Corpus, config: AnalysisConfig):
     return index, summaries, dataset
 
 
-def _remove_manifest(path: Path) -> None:
+def _refuse_input(path: Path, input_paths: list[str]) -> None:
+    """Raise ``InputError`` if ``path`` is the same file as an input: writing
+    or removing it would destroy what the run reads."""
+    if os.path.exists(path) and any(
+        os.path.exists(p) and os.path.samefile(path, p) for p in input_paths
+    ):
+        raise InputError(f"{path}: output is an input file; choose another --output-dir")
+
+
+def _remove_manifest(path: Path, input_paths: list[str]) -> None:
     """Delete an earlier run's manifest, so that a run that fails leaves none
     listing files it did not write; ``_Run.finish`` writes the new one last."""
+    _refuse_input(path, input_paths)
     try:
         path.unlink(missing_ok=True)
     except OSError as exc:
@@ -208,37 +218,52 @@ class _Run:
         self.notes.append(message)
         print(f"note: {message}", file=sys.stderr)
 
+    def _encode(self, name: str, text: str) -> bytes:
+        try:
+            return text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InputError(
+                f"{self.output_dir / name}: cannot write report: its text holds "
+                f"{exc.object[exc.start:exc.end]!r}, which UTF-8 cannot encode"
+            ) from exc
+
     def finish(self) -> None:
-        """Stage every report as a hidden temporary file, then rename each into
-        place, the manifest last. A report path that is a directory is rejected
-        before anything is renamed, so a failed run leaves the earlier reports
-        as they were and no manifest."""
+        """Encode every report and the manifest and refuse an output that is an
+        input, before the directory is made; then stage each report as a
+        hidden temporary file and rename each into place, the manifest last.
+        A report path that is a directory is rejected before anything is
+        renamed, so a failed run leaves the earlier reports as they were and
+        no manifest."""
+        data = {name: self._encode(name, text) for name, text in self.files.items()}
         config_dict = self.config.to_dict()
+        config_json = self._encode(MANIFEST, reports.canonical_json(config_dict))
         manifest = {
             "tool": "repscope",
             "version": __version__,
             "command": self.command,
             "config": config_dict,
-            "config_sha256": reports.sha256_bytes(reports.canonical_json(config_dict).encode()),
+            "config_sha256": reports.sha256_bytes(config_json),
             "inputs": [
                 {"path": p, "sha256": reports.sha256_file(p)} for p in self.input_paths
             ],
             "outputs": sorted(self.files),
             "notes": self.notes,
         }
-        files = {**self.files, MANIFEST: reports.canonical_json(manifest)}
+        data[MANIFEST] = self._encode(MANIFEST, reports.canonical_json(manifest))
+        for name in data:
+            _refuse_input(self.output_dir / name, self.input_paths)
         staged: list[Path] = []
         path = self.output_dir
         try:
             self.output_dir.mkdir(parents=True, exist_ok=True)
-            for name, text in files.items():
+            for name, blob in data.items():
                 path = self.output_dir / name
                 if path.is_dir():
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 tmp = path.with_name(f".{name}.tmp")
                 staged.append(tmp)
-                tmp.write_text(text, encoding="utf-8")
-            for name, tmp in zip(files, staged):
+                tmp.write_bytes(blob)
+            for name, tmp in zip(data, staged):
                 path = self.output_dir / name
                 os.replace(tmp, path)
         except OSError as exc:
@@ -354,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = effective_config(args)
-        _remove_manifest(Path(config.output_dir) / MANIFEST)
+        _remove_manifest(Path(config.output_dir) / MANIFEST, args.corpora)
         if getattr(args, "limit", 1) < 1:
             raise InputError(f"--limit must be >= 1, got {args.limit}")
         if getattr(args, "min_count", 2) < 2:

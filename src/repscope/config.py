@@ -43,6 +43,8 @@ class AnalysisConfig:
             )
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
+        if "\0" in self.output_dir:
+            raise ValueError(f"output_dir must not hold a NUL character, got {self.output_dir!r}")
         if not isinstance(self.output_formats, tuple) or not self.output_formats:
             raise ValueError(
                 f"output_formats must be a non-empty list, got {self.output_formats!r}"

@@ -69,12 +69,25 @@ def _split_unit(unit: str) -> list[str]:
     return parts
 
 
-def _tokenize(
-    raw_text: str, config: TokenizerConfig, memo: dict[str, tuple[str, ...]]
+def tokenize(
+    raw_text: str,
+    config: TokenizerConfig | None = None,
+    *,
+    memo: dict[str, tuple[str, ...]] | None = None,
 ) -> TokenSequence:
-    """``tokenize`` with a caller-owned memo from each (case-folded)
-    whitespace unit to its tokens, so a unit that recurs across the texts
-    sharing the memo is split and interned only once."""
+    """Tokenize text deterministically under ``config``.
+
+    Whitespace-delimited units, optionally case folded, optionally with
+    leading/trailing punctuation split into separate tokens. Total function:
+    empty text yields an empty sequence. ``memo`` is a cache from each
+    (case-folded) whitespace unit to its tokens, shared by the texts that
+    pass the same dict under one config, so a recurring unit is split and
+    interned once; it never changes the tokens.
+    """
+    if config is None:
+        config = TokenizerConfig()
+    if memo is None:
+        memo = {}
     text = raw_text.lower() if config.case_fold else raw_text
     split = config.punctuation_mode == "split"
     tokens: list[str] = []
@@ -86,16 +99,6 @@ def _tokenize(
             memo[unit] = parts
         tokens += parts
     return TokenSequence(tokens=tuple(tokens), text=raw_text)
-
-
-def tokenize(raw_text: str, config: TokenizerConfig | None = None) -> TokenSequence:
-    """Tokenize text deterministically under ``config``.
-
-    Whitespace-delimited units, optionally case folded, optionally with
-    leading/trailing punctuation split into separate tokens. Total function:
-    empty text yields an empty sequence.
-    """
-    return _tokenize(raw_text, config if config is not None else TokenizerConfig(), {})
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,16 @@ class Corpus:
         return len(self.records)
 
 
-def _record_from_object(
-    obj: dict, config: TokenizerConfig, memo: dict[str, tuple[str, ...]]
+def _record_from_line(
+    line: str, config: TokenizerConfig, memo: dict[str, tuple[str, ...]]
 ) -> SummaryRecord:
+    """The record on one corpus line; ``ValueError`` names any fault in it."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also huge ints, deep nests
+        raise ValueError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
     for field_name in REQUIRED_FIELDS:
         if field_name not in obj:
             raise ValueError(f"missing required field {field_name!r}")
@@ -161,13 +171,17 @@ def _record_from_object(
         value = obj.get(field_name)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"field {field_name!r} must be a string or omitted")
+    if "\\u" in line:  # strict UTF-8 decoding yields no surrogate: only an escape can
+        for field_name in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+            if lone := re.search("[\ud800-\udfff]", obj.get(field_name) or ""):
+                raise ValueError(f"field {field_name!r} holds a lone surrogate {lone.group()!r}")
     return SummaryRecord(
         id=obj["id"],
-        summary=_tokenize(obj["summary"], config, memo),
+        summary=tokenize(obj["summary"], config, memo=memo),
         architecture=obj["architecture"],
         test_dataset=obj["test_dataset"],
         train_dataset=obj.get("train_dataset"),
-        input=_tokenize(obj["input"], config, memo) if obj.get("input") is not None else None,
+        input=tokenize(obj["input"], config, memo=memo) if obj.get("input") is not None else None,
     )
 
 
@@ -194,22 +208,12 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # also huge ints, deep nests
-                    raise CorpusLoadError(
-                        f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}"
-                    ) from exc
-                if not isinstance(obj, dict):
-                    raise CorpusLoadError(f"{path}:{lineno}: expected a JSON object")
-                try:
-                    record = _record_from_object(obj, config, memo)
+                    record = _record_from_line(line, config, memo)
+                    if record.id in seen_ids:
+                        first = seen_ids[record.id]
+                        raise ValueError(f"duplicate id {record.id!r} (first seen on line {first})")
                 except ValueError as exc:
                     raise CorpusLoadError(f"{path}:{lineno}: {exc}") from exc
-                if record.id in seen_ids:
-                    raise CorpusLoadError(
-                        f"{path}:{lineno}: duplicate id {record.id!r} "
-                        f"(first seen on line {seen_ids[record.id]})"
-                    )
                 seen_ids[record.id] = lineno
                 records.append(record)
         except UnicodeDecodeError as exc:
@@ -222,4 +226,3 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
     if not records:
         raise EmptyCorpusError(f"{path}: no records")
     return Corpus(records=tuple(records), name=path.stem)
-

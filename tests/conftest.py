@@ -63,15 +63,22 @@ def _valid_lines(count: int) -> bytes:
     ).encode()
 
 
-# Corpus files that no JSON-Lines reader can take, as (content, the line that
-# holds the fault, the error it gets): a byte that is not UTF-8 after more
+# Corpus files that repscope cannot read into records, as (content, the line
+# that holds the fault, the error it gets): a byte that is not UTF-8 after more
 # than the reader's 8 KB first chunk, an integer of more digits than Python
-# converts, and an array nested deeper than the parser recurses.
+# converts, an array nested deeper than the parser recurses, and a lone
+# surrogate escape, which json accepts but no UTF-8 report can hold (the
+# surrogate pair on the line before it is one character and loads).
 UNREADABLE_CORPORA = {
     "not_utf8": (_valid_lines(300) + b'{"id": "s\xff"}\n' + _valid_lines(1), 301,
                  "not valid UTF-8"),
     "huge_int": (_valid_lines(1) + b'{"id": ' + b"1" * 5000 + b"}\n", 2, "invalid JSON"),
     "deep_nest": (_valid_lines(1) + b"[" * 100_000 + b"\n", 2, "invalid JSON"),
+    "lone_surrogate": (
+        _valid_lines(1).replace(b"plain", b"\\ud83d\\ude00")
+        + b'{"id": "s\\ud800", "summary": "", "architecture": "A", "test_dataset": "d"}\n',
+        2, "field 'id' holds a lone surrogate",
+    ),
 }
 
 

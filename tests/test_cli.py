@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -472,6 +473,7 @@ class TestConfigHandling:
         ({"output_formats": "csv"}, "output_formats"),
         ({"abstractiveness_ns": [2, 2]}, "abstractiveness_ns"),
         ({"output_formats": ["csv", "csv"]}, "output_formats"),
+        ({"output_dir": "o\u0000x"}, "output_dir"),
     ])
     def test_malformed_config_exits_1_naming_key(
         self, fixture_corpora, tmp_path, capsys, config, key
@@ -563,6 +565,45 @@ class TestConfigHandling:
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == earlier
         assert blocked.is_dir()
         assert not any(p.name.endswith(".tmp") for p in out.iterdir())
+
+
+class TestPublishing:
+    """Texts and paths that no report may take: each run exits 1 with one
+    ``error:`` line and leaves no report and no temporary file behind."""
+
+    LINES = [
+        {"id": f"s{i}", "summary": "sign up for our daily briefing", "architecture": "A",
+         "test_dataset": "d"}
+        for i in (1, 2)
+    ]
+
+    @pytest.mark.parametrize("corpus_name, config", [
+        (os.fsdecode(b"c\xff.jsonl"), "{}"),
+        ("c.jsonl", '{"regression": {"reference_architecture": "B\\ud800"}}'),
+    ], ids=["corpus_name_not_utf8", "lone_surrogate_in_config"])
+    def test_text_utf8_cannot_encode_exits_1(self, tmp_path, capsys, corpus_name, config):
+        corpus = write_jsonl(tmp_path / corpus_name, self.LINES)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config)
+        out = tmp_path / "out"
+        assert main(["score", str(corpus), "--config", str(config_path),
+                     "--output-dir", str(out)]) == 1
+        assert "which UTF-8 cannot encode" in single_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, corpora", [
+        ("repeats", ["repeats.jsonl"]),
+        ("report-all", ["x.jsonl", "repeats_x.jsonl"]),
+        ("score", ["run_manifest.json"]),
+    ])
+    def test_output_that_is_an_input_exits_1(self, tmp_path, capsys, command, corpora):
+        paths = [str(write_jsonl(tmp_path / name, self.LINES)) for name in corpora]
+        before = dir_snapshot(tmp_path)
+        assert main([command, *paths, "--output-dir", str(tmp_path)]) == 1
+        assert single_error_line(capsys.readouterr().err).startswith(
+            f"error: {paths[-1]}: output is an input file"
+        )
+        assert dir_snapshot(tmp_path) == before
 
 
 class TestReportAll:

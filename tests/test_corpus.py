@@ -1,16 +1,17 @@
 import json
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repscope.corpus
 from repscope.corpus import (
     Corpus,
     SummaryRecord,
     TokenizerConfig,
     TokenSequence,
-    _split_unit,
     load_corpus,
     tokenize,
 )
@@ -37,12 +38,25 @@ _SPACES = (" ", "  ", "\n", "\t", "\u00a0", "\u2003", "\x1c")
 
 
 def _reference_tokens(text: str, config: TokenizerConfig) -> tuple[str, ...]:
-    """The tokenizer without a memo: every unit split on its own."""
+    """The documented tokenizer, written apart from the implementation: fold
+    case, split on whitespace, and peel each Unicode P* character off either
+    end of a unit into a token of its own."""
     if config.case_fold:
         text = text.lower()
     tokens: list[str] = []
     for unit in text.split():
-        tokens.extend(_split_unit(unit) if config.punctuation_mode == "split" else [unit])
+        if config.punctuation_mode == "attached":
+            tokens.append(unit)
+            continue
+        head: list[str] = []
+        tail: list[str] = []
+        while unit and unicodedata.category(unit[0]).startswith("P"):
+            head.append(unit[0])
+            unit = unit[1:]
+        while unit and unicodedata.category(unit[-1]).startswith("P"):
+            tail.insert(0, unit[-1])
+            unit = unit[:-1]
+        tokens += head + ([unit] if unit else []) + tail
     return tuple(tokens)
 
 
@@ -200,6 +214,24 @@ class TestLoadCorpus:
         path.write_bytes(content)
         with pytest.raises(CorpusLoadError, match=rf"c\.jsonl:{lineno}: {message}"):
             load_corpus(path)
+
+    def test_tokenizes_through_module_tokenize(self, tmp_path, monkeypatch):
+        # a traced run wraps repscope.corpus.tokenize; load_corpus must call
+        # that attribute once per text, or the span reads 0 calls
+        lines = self._lines()
+        lines[0]["input"] = "the source document"
+        path = write_jsonl(tmp_path / "c.jsonl", lines)
+        texts = []
+
+        def counting(raw_text, config=None, *, memo=None):
+            texts.append(raw_text)
+            return tokenize(raw_text, config, memo=memo)
+
+        monkeypatch.setattr(repscope.corpus, "tokenize", counting)
+        load_corpus(path)
+        assert sorted(texts) == sorted(
+            [line["summary"] for line in lines] + ["the source document"]
+        )
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
