@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 input error, 2 analysis error.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
 from dataclasses import replace
@@ -173,35 +172,40 @@ def _score_corpus(corpus: Corpus, config: AnalysisConfig):
     return index, summaries, dataset
 
 
-def _refuse_input(path: Path, input_paths: list[str]) -> None:
-    """Raise ``InputError`` if ``path`` is the same file as an input: writing
-    or removing it would destroy what the run reads."""
-    if os.path.exists(path) and any(
-        os.path.exists(p) and os.path.samefile(path, p) for p in input_paths
-    ):
-        raise InputError(f"{path}: output is an input file; choose another --output-dir")
-
-
-def _remove_manifest(path: Path, input_paths: list[str]) -> None:
-    """Delete an earlier run's manifest, so that a run that fails leaves none
-    listing files it did not write; ``_Run.finish`` writes the new one last."""
-    _refuse_input(path, input_paths)
-    try:
-        path.unlink(missing_ok=True)
-    except OSError as exc:
-        raise InputError(f"{path}: cannot remove the old manifest: {exc.strerror or exc}") from exc
-
-
 class _Run:
-    """Collects the report texts of one invocation; ``finish`` publishes them."""
+    """Collects the report texts of one invocation; ``finish`` publishes them.
+    It is the only code that touches ``--output-dir``, and it never writes or
+    removes a file the run reads: a corpus or the ``--config`` file."""
 
-    def __init__(self, command: str, config: AnalysisConfig, input_paths: list[str]):
+    def __init__(
+        self, command: str, config: AnalysisConfig, corpora: list[str], config_path: str | None
+    ):
         self.command = command
         self.config = config
-        self.input_paths = input_paths
+        self.corpora = corpora
+        self.reads = [*corpora, config_path] if config_path else corpora
         self.output_dir = Path(config.output_dir)
         self.files: dict[str, str] = {}
         self.notes: list[str] = []
+        # The old manifest goes first, so a run that fails leaves none
+        # listing files it did not write; ``finish`` writes the new one last.
+        manifest = self.output_path(MANIFEST)
+        try:
+            manifest.unlink(missing_ok=True)
+        except OSError as exc:
+            raise InputError(
+                f"{manifest}: cannot remove the old manifest: {exc.strerror or exc}"
+            ) from exc
+
+    def output_path(self, name: str) -> Path:
+        """``output_dir / name``; ``InputError`` if that is a file the run
+        reads, since writing or removing it would destroy the input."""
+        path = self.output_dir / name
+        if os.path.exists(path) and any(
+            os.path.exists(p) and os.path.samefile(path, p) for p in self.reads
+        ):
+            raise InputError(f"{path}: output is an input file; choose another --output-dir")
+        return path
 
     def write(self, filename: str, text: str) -> None:
         self.files[filename] = text
@@ -228,12 +232,11 @@ class _Run:
             ) from exc
 
     def finish(self) -> None:
-        """Encode every report and the manifest and refuse an output that is an
-        input, before the directory is made; then stage each report as a
-        hidden temporary file and rename each into place, the manifest last.
-        A report path that is a directory is rejected before anything is
-        renamed, so a failed run leaves the earlier reports as they were and
-        no manifest."""
+        """Encode every report and the manifest, and check each one's final
+        and hidden staging path, before the directory is made: a path that
+        is an input or a directory is refused. Then stage each report and
+        rename each into place, the manifest last. So a failed run leaves
+        the earlier reports as they were and no manifest."""
         data = {name: self._encode(name, text) for name, text in self.files.items()}
         config_dict = self.config.to_dict()
         config_json = self._encode(MANIFEST, reports.canonical_json(config_dict))
@@ -243,28 +246,26 @@ class _Run:
             "command": self.command,
             "config": config_dict,
             "config_sha256": reports.sha256_bytes(config_json),
-            "inputs": [
-                {"path": p, "sha256": reports.sha256_file(p)} for p in self.input_paths
-            ],
+            "inputs": [{"path": p, "sha256": reports.sha256_file(p)} for p in self.corpora],
             "outputs": sorted(self.files),
             "notes": self.notes,
         }
         data[MANIFEST] = self._encode(MANIFEST, reports.canonical_json(manifest))
-        for name in data:
-            _refuse_input(self.output_dir / name, self.input_paths)
+        targets = []
+        for name, blob in data.items():
+            path, tmp = self.output_path(name), self.output_path(f".{name}.tmp")
+            for checked in (path, tmp):
+                if checked.is_dir():
+                    raise InputError(f"{checked}: cannot write report: Is a directory")
+            targets.append((path, tmp, blob))
         staged: list[Path] = []
         path = self.output_dir
         try:
             self.output_dir.mkdir(parents=True, exist_ok=True)
-            for name, blob in data.items():
-                path = self.output_dir / name
-                if path.is_dir():
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                tmp = path.with_name(f".{name}.tmp")
+            for path, tmp, blob in targets:
                 staged.append(tmp)
                 tmp.write_bytes(blob)
-            for name, tmp in zip(data, staged):
-                path = self.output_dir / name
+            for path, tmp, _ in targets:
                 os.replace(tmp, path)
         except OSError as exc:
             for tmp in staged:
@@ -379,13 +380,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = effective_config(args)
-        _remove_manifest(Path(config.output_dir) / MANIFEST, args.corpora)
+        run = _Run(args.command, config, args.corpora, args.config)
         if getattr(args, "limit", 1) < 1:
             raise InputError(f"--limit must be >= 1, got {args.limit}")
         if getattr(args, "min_count", 2) < 2:
             raise InputError(f"--min-count must be >= 2, got {args.min_count}")
         corpora = _load_corpora(args.corpora, config.tokenizer)
-        run = _Run(args.command, config, args.corpora)
         args.func(run, corpora, args)
         run.finish()
         return 0

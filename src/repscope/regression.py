@@ -241,7 +241,7 @@ def likelihood_ratio_test(
         statistic = math.inf if nested.rss > 0.0 else 0.0
     else:
         statistic = max(0.0, full.n_rows * math.log(nested.rss / full.rss))
-    p_value = chi2_sf(statistic, df) if not math.isinf(statistic) else 0.0
+    p_value = chi2_sf(statistic, df)
     return LrTestResult(
         statistic=statistic,
         df=df,

@@ -549,11 +549,14 @@ class TestConfigHandling:
         assert code == 1
         assert "yaml" in capsys.readouterr().err
 
-    def test_unwritable_report_leaves_earlier_tree_whole(self, fixture_corpora, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["summary_lengths.csv", ".summary_lengths.csv.tmp"])
+    def test_unwritable_report_leaves_earlier_tree_whole(
+        self, fixture_corpora, tmp_path, capsys, name
+    ):
         out = tmp_path / "out"
         assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 0
-        blocked = out / "summary_lengths.csv"
-        blocked.unlink()
+        blocked = out / name
+        blocked.unlink(missing_ok=True)
         blocked.mkdir()
         earlier = {p.name: p.read_bytes() for p in out.iterdir()
                    if p.is_file() and p.name != "run_manifest.json"}
@@ -564,7 +567,7 @@ class TestConfigHandling:
         assert str(blocked) in err and "Traceback" not in err
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == earlier
         assert blocked.is_dir()
-        assert not any(p.name.endswith(".tmp") for p in out.iterdir())
+        assert not any(p.name.endswith(".tmp") for p in out.iterdir() if p != blocked)
 
 
 class TestPublishing:
@@ -591,17 +594,26 @@ class TestPublishing:
         assert "which UTF-8 cannot encode" in single_error_line(capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, corpora", [
-        ("repeats", ["repeats.jsonl"]),
-        ("report-all", ["x.jsonl", "repeats_x.jsonl"]),
-        ("score", ["run_manifest.json"]),
-    ])
-    def test_output_that_is_an_input_exits_1(self, tmp_path, capsys, command, corpora):
+    @pytest.mark.parametrize("command, corpora, config", [
+        ("repeats", ["repeats.jsonl"], None),
+        ("report-all", ["x.jsonl", "repeats_x.jsonl"], None),
+        ("score", ["run_manifest.json"], None),
+        ("repeats", [".repeats.jsonl.tmp"], None),
+        ("score", ["x.jsonl"], "dataset_scores.json"),
+        ("repeats", ["x.jsonl"], "run_manifest.json"),
+    ], ids=["repeats-corpora0", "report-all-corpora1", "score-corpora2",
+            "repeats-staging_name", "score-config_is_report", "repeats-config_is_manifest"])
+    def test_output_that_is_an_input_exits_1(self, tmp_path, capsys, command, corpora, config):
         paths = [str(write_jsonl(tmp_path / name, self.LINES)) for name in corpora]
+        flags = []
+        if config is not None:
+            (tmp_path / config).write_text('{"min_n": 4}')
+            flags = ["--config", str(tmp_path / config)]
         before = dir_snapshot(tmp_path)
-        assert main([command, *paths, "--output-dir", str(tmp_path)]) == 1
+        assert main([command, *paths, *flags, "--output-dir", str(tmp_path)]) == 1
+        named = flags[-1] if flags else paths[-1]
         assert single_error_line(capsys.readouterr().err).startswith(
-            f"error: {paths[-1]}: output is an input file"
+            f"error: {named}: output is an input file"
         )
         assert dir_snapshot(tmp_path) == before
 

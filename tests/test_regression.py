@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -305,6 +306,18 @@ class TestLikelihoodRatio:
         result = likelihood_ratio_test(ols_fit(full_design), ols_fit(nested_design))
         assert result.reject
         assert result.p_value < 0.001
+
+    @pytest.mark.parametrize("nested_rss, statistic, p_value, reject", [
+        (1.0, math.inf, 0.0, True),
+        (0.0, 0.0, 1.0, False),
+    ], ids=["nested_rss_positive", "both_rss_zero"])
+    def test_exact_full_fit(self, nested_rss, statistic, p_value, reject):
+        rng = np.random.default_rng(89)
+        full_design, nested_design = self._designs(rng)
+        full = dataclasses.replace(ols_fit(full_design), rss=0.0)
+        nested = dataclasses.replace(ols_fit(nested_design), rss=nested_rss)
+        result = likelihood_ratio_test(full, nested)
+        assert (result.statistic, result.p_value, result.reject) == (statistic, p_value, reject)
 
     def test_identical_models_rejected(self):
         rng = np.random.default_rng(73)
