@@ -172,6 +172,16 @@ def _score_corpus(corpus: Corpus, config: AnalysisConfig):
     return index, summaries, dataset
 
 
+def _file_id(path) -> tuple[int, int] | None:
+    """The (device, inode) pair of ``path``, following links; None if it
+    cannot be stat'ed, which ``os.path.exists`` reads as no file."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
 class _Run:
     """Collects the report texts of one invocation; ``finish`` publishes them.
     It is the only code that touches ``--output-dir``, and it never writes or
@@ -183,7 +193,9 @@ class _Run:
         self.command = command
         self.config = config
         self.corpora = corpora
-        self.reads = [*corpora, config_path] if config_path else corpora
+        # the (st_dev, st_ino) pairs ``os.path.samefile`` compares, taken once
+        # here so that checking an output costs one stat, whatever the inputs
+        self.read_ids = {_file_id(p) for p in (*corpora, config_path) if p} - {None}
         self.output_dir = Path(config.output_dir)
         self.files: dict[str, str] = {}
         self.notes: list[str] = []
@@ -201,9 +213,7 @@ class _Run:
         """``output_dir / name``; ``InputError`` if that is a file the run
         reads, since writing or removing it would destroy the input."""
         path = self.output_dir / name
-        if os.path.exists(path) and any(
-            os.path.exists(p) and os.path.samefile(path, p) for p in self.reads
-        ):
+        if _file_id(path) in self.read_ids:
             raise InputError(f"{path}: output is an input file; choose another --output-dir")
         return path
 

@@ -5,7 +5,10 @@ and continued fractions (modified Lentz iteration), each in the regime
 where its terms stay positive or its convergents settle fast. Log-space
 prefactors are assembled from Stirling-series differences so that huge
 degrees of freedom (up to 1e6) keep better than 1e-10 relative accuracy.
-Quantiles come from root finding on the tails.
+Quantiles come from root finding on the tails, by a port of scipy's C
+``brentq`` solver (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4) that finds the same roots bit for bit without
+loading ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -228,11 +231,50 @@ def chi2_sf(x: float, df: float) -> float:
     return _upper_gamma_continued_fraction(a, u)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of ``f`` in [xa, xb], step for step as scipy's C ``brentq``
+    (``scipy/optimize/Zeros/brentq.c``), so it returns the same double."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ArithmeticError(f"root finder did not converge in {maxiter} iterations")
+
+
 def t_critical(confidence_level: float, df: float) -> float:
     """Positive t with two-sided tail mass 1 - confidence_level."""
-    # imported here so that only fitting pays for loading scipy
-    from scipy.optimize import brentq
-
     if not 0.0 < confidence_level < 1.0:
         raise ValueError(f"confidence_level must be in (0, 1), got {confidence_level}")
     alpha = 1.0 - confidence_level
@@ -241,4 +283,4 @@ def t_critical(confidence_level: float, df: float) -> float:
         hi *= 4.0
         if hi > 1e300:
             raise ArithmeticError("t quantile bracket expansion failed")
-    return float(brentq(lambda v: t_two_sided_p(v, df) - alpha, 0.0, hi, xtol=1e-12, rtol=1e-14))
+    return _brentq(lambda v: t_two_sided_p(v, df) - alpha, 0.0, hi, xtol=1e-12, rtol=1e-14)

@@ -2,8 +2,9 @@ import math
 
 import pytest
 from scipy import stats
+from scipy.optimize import brentq
 
-from repscope.special import chi2_sf, t_critical, t_two_sided_p
+from repscope.special import _brentq, chi2_sf, t_critical, t_two_sided_p
 
 from oracles import chi2_sf_quad, t_two_sided_quad
 
@@ -118,3 +119,31 @@ class TestTCritical:
     def test_level_validated(self):
         with pytest.raises(ValueError):
             t_critical(1.0, 10)
+
+    @pytest.mark.parametrize("level", (0.5, 0.68, 0.75, 0.8, 0.85, 0.9, 0.95, 0.975, 0.99,
+                                       0.995, 0.999, 0.9999))
+    def test_bit_identical_to_scipy_brentq(self, level):
+        # df 1-60, the residual df of the bench designs, and df up to 1e6
+        dfs = [*range(1, 61), *range(993, 997), *range(1193, 1200), *range(2393, 2397),
+               *range(5993, 5997), 12345, 99999, 731377, 10**6]
+        alpha = 1.0 - level
+        for df in dfs:
+            hi = 1.0
+            while t_two_sided_p(hi, df) > alpha:
+                hi *= 4.0
+            expected = brentq(lambda v: t_two_sided_p(v, df) - alpha, 0.0, hi,
+                              xtol=1e-12, rtol=1e-14)
+            assert t_critical(level, df).hex() == float(expected).hex(), (level, df)
+
+    def test_brentq_returns_an_exact_root_at_an_end(self):
+        assert _brentq(lambda v: v - 2.0, 2.0, 5.0, xtol=1e-12, rtol=1e-14) == 2.0
+        assert _brentq(lambda v: v - 5.0, 2.0, 5.0, xtol=1e-12, rtol=1e-14) == 5.0
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0), ids=["both_positive", "both_negative"])
+    def test_brentq_rejects_ends_of_one_sign(self, sign):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda v: sign * (v * v + 1.0), -3.0, 1.0, xtol=1e-12, rtol=1e-14)
+
+    def test_brentq_raises_when_out_of_iterations(self):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _brentq(lambda v: v - 0.3, 0.0, 1.0, xtol=1e-12, rtol=1e-14, maxiter=1)
