@@ -317,7 +317,16 @@ def _emit_abstractiveness(run: _Run, corpus: Corpus, *, suffix: str = "") -> Non
     )
 
 
-def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
+def _scored_designs(run: _Run, args: argparse.Namespace, emit_corpus_reports=None):
+    """Load and score the corpora, let ``emit_corpus_reports`` write its
+    reports from them, and build the fit's designs: the full one and, when
+    interactions are on, the nested one (else None). The corpora and their
+    indexes die when this returns, so the fit, which loads scipy, runs from
+    the designs alone."""
+    corpora = _load_corpora(args.corpora, run.config.tokenizer)
+    scored = [_score_corpus(c, run.config) for c in corpora]
+    if emit_corpus_reports is not None:
+        emit_corpus_reports(run, corpora, scored, args)
     records = []
     scores = []
     for corpus, (_, summaries, _) in zip(corpora, scored):
@@ -325,14 +334,19 @@ def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
         scores.extend(s.score for s in summaries)
     spec = run.config.regression
     design = build_design_matrix(records, scores, spec)
+    nested = None
+    if spec.include_interactions:
+        nested = build_design_matrix(records, scores, replace(spec, include_interactions=False))
+    return design, nested
+
+
+def _emit_regression(run: _Run, design, nested_design) -> None:
+    spec = run.config.regression
     fit = ols_fit(design, confidence_level=spec.confidence_level)
     run.emit("regression_coefficients", fit, csv=reports.fit_csv, markdown=reports.fit_markdown)
     columns = {"columns": list(design.column_names), "nested_columns": None}
 
-    if spec.include_interactions:
-        nested_design = build_design_matrix(
-            records, scores, replace(spec, include_interactions=False)
-        )
+    if nested_design is not None:
         if set(nested_design.column_names) == set(design.column_names):
             run.note(
                 "no train x test interaction columns in the design; LR test skipped"
@@ -350,27 +364,8 @@ def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
     run.write("design_columns.json", reports.canonical_json(columns))
 
 
-# Report bodies: each writes its reports into ``run`` from corpora that
-# ``main`` has loaded; ``main`` publishes them.
-def cmd_score(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
-    _emit_scores(run, corpora, [_score_corpus(c, run.config) for c in corpora])
-
-
-def cmd_repeats(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
-    index = build_repetition_index(corpora[0], run.config.min_n)
-    _emit_repeats(run, corpora[0], index, args)
-
-
-def cmd_abstractiveness(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
-    _emit_abstractiveness(run, corpora[0])
-
-
-def cmd_regress(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
-    _emit_regression(run, corpora, [_score_corpus(c, run.config) for c in corpora])
-
-
-def cmd_report_all(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -> None:
-    scored = [_score_corpus(c, run.config) for c in corpora]
+def _emit_corpus_reports(run: _Run, corpora: list[Corpus], scored, args) -> None:
+    """report-all's reports of the corpora themselves: all but the fit."""
     _emit_scores(run, corpora, scored)
     for corpus, (index, _, _) in zip(corpora, scored):
         _emit_repeats(run, corpus, index, args, suffix=f"_{corpus.name}")
@@ -378,15 +373,40 @@ def cmd_report_all(run: _Run, corpora: list[Corpus], args: argparse.Namespace) -
             _emit_abstractiveness(run, corpus, suffix=f"_{corpus.name}")
         except MissingPairedInputError:
             run.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
+
+
+# Report bodies: each loads the corpora and writes its reports into ``run``;
+# ``main`` publishes them.
+def cmd_score(run: _Run, args: argparse.Namespace) -> None:
+    corpora = _load_corpora(args.corpora, run.config.tokenizer)
+    _emit_scores(run, corpora, [_score_corpus(c, run.config) for c in corpora])
+
+
+def cmd_repeats(run: _Run, args: argparse.Namespace) -> None:
+    (corpus,) = _load_corpora(args.corpora, run.config.tokenizer)
+    _emit_repeats(run, corpus, build_repetition_index(corpus, run.config.min_n), args)
+
+
+def cmd_abstractiveness(run: _Run, args: argparse.Namespace) -> None:
+    (corpus,) = _load_corpora(args.corpora, run.config.tokenizer)
+    _emit_abstractiveness(run, corpus)
+
+
+def cmd_regress(run: _Run, args: argparse.Namespace) -> None:
+    _emit_regression(run, *_scored_designs(run, args))
+
+
+def cmd_report_all(run: _Run, args: argparse.Namespace) -> None:
+    # of the steps in this try, only the designs and the fit raise AnalysisError
     try:
-        _emit_regression(run, corpora, scored)
+        _emit_regression(run, *_scored_designs(run, args, _emit_corpus_reports))
     except AnalysisError as exc:
         run.note(f"regression skipped: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Resolve the config, check the flags, load the corpora, run the
-    command's report body and publish its reports."""
+    """Resolve the config, check the flags, run the command's report body
+    and publish its reports."""
     args = build_parser().parse_args(argv)
     try:
         config = effective_config(args)
@@ -395,8 +415,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--limit must be >= 1, got {args.limit}")
         if getattr(args, "min_count", 2) < 2:
             raise InputError(f"--min-count must be >= 2, got {args.min_count}")
-        corpora = _load_corpora(args.corpora, config.tokenizer)
-        args.func(run, corpora, args)
+        args.func(run, args)
         run.finish()
         return 0
     except InputError as exc:

@@ -1,19 +1,22 @@
 """Cross-summary repeating n-gram index, and paired-input window matches.
 
 An n-gram (n >= min_n, default 4) is *repeating* when it occurs in two or
-more distinct summaries of a corpus. The index maps each repeating n-gram
-to the full set of summary ids containing it, for every length at which
-repeats exist. Membership counts summaries, not occurrences: five copies
-inside one summary contribute a single id. The same window classes count
-the summary n-grams that occur in a record's own input (abstractiveness).
+more distinct summaries of a corpus. The index holds one row per repeating
+n-gram, for every length at which repeats exist: its length, where one of
+its windows lies, and the full set of summaries containing it, all as numpy
+arrays. Token tuples and id sets are made only for the rows read: the
+``entries`` map on first access, or the rows ``top_repeats`` returns.
+Membership counts summaries, not occurrences: five copies inside one
+summary contribute a single id. The same window classes count the summary
+n-grams that occur in a record's own input (abstractiveness).
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, count
 from typing import Iterator, NamedTuple, Sequence
 
@@ -24,24 +27,60 @@ from .corpus import Corpus, SummaryRecord
 NGram = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepetitionIndex:
     """Repeating n-grams of one corpus, keyed by exact token identity.
 
-    Every entry's id set has size >= 2. max_observed_n is the longest
-    length with any repeat (0 when the index is empty). tallies is keyed
-    by every indexed summary id, so score lookups can reject records from
-    other corpora; each value holds the summary's Eq.1 terms as counted
+    Row i is one repeating n-gram: row_n[i] tokens long, spelled by the
+    window at offset row_offset[i] of document row_doc[i], and held by
+    row_count[i] >= 2 summaries, whose document numbers are row i's slice of
+    pair_docs: the row_count[i] values after those of rows 0..i-1. Document
+    d is the summary with token tuple documents[d] and id summary_ids[d], in
+    corpus order. Rows run by n, then by window class. max_observed_n is the
+    longest length with any repeat (0 when the index is empty). tallies is
+    keyed by every indexed summary id, so score lookups can reject records
+    from other corpora; each value holds the summary's Eq.1 terms as counted
     while the index was built: (m, raw_sum) over all of its distinct
     repeating types, then (m, raw_sum) over only the types not contained in
-    a longer repeating type of the same summary.
+    a longer repeating type of the same summary. Indexes compare by
+    identity.
     """
 
-    entries: dict[NGram, frozenset[str]]
     min_n: int
     max_observed_n: int
-    corpus_size: int
-    tallies: dict[str, tuple[int, int, int, int]]
+    summary_ids: tuple[str, ...] = field(repr=False)
+    documents: tuple[tuple[str, ...], ...] = field(repr=False)
+    row_n: np.ndarray = field(repr=False)
+    row_doc: np.ndarray = field(repr=False)
+    row_offset: np.ndarray = field(repr=False)
+    row_count: np.ndarray = field(repr=False)
+    pair_docs: np.ndarray = field(repr=False)
+    tallies: dict[str, tuple[int, int, int, int]] = field(repr=False)
+
+    @property
+    def corpus_size(self) -> int:
+        return len(self.summary_ids)
+
+    @cached_property
+    def entries(self) -> dict[NGram, frozenset[str]]:
+        """Every repeating n-gram mapped to the ids of the summaries holding
+        it, built on first read; equal id sets share one frozenset."""
+        id_sets: dict[frozenset[str], frozenset[str]] = {}
+        return {gram: id_sets.setdefault(ids, ids) for gram, ids in self._rows(slice(None))}
+
+    def _rows(self, rows) -> Iterator[tuple[NGram, frozenset[str]]]:
+        """The n-gram and id set of each selected row, in selection order."""
+        counts = self.row_count[rows]
+        ends = np.cumsum(counts)
+        first = (np.cumsum(self.row_count) - self.row_count)[rows]
+        # positions in pair_docs of every selected row's slice, end to end
+        take = np.arange(int(counts.sum())) + np.repeat(first - (ends - counts), counts)
+        ids = list(map(self.summary_ids.__getitem__, self.pair_docs[take].tolist()))
+        for n, d, off, end, size in zip(
+            self.row_n[rows].tolist(), self.row_doc[rows].tolist(),
+            self.row_offset[rows].tolist(), ends.tolist(), counts.tolist(),
+        ):
+            yield self.documents[d][off : off + n], frozenset(ids[end - size : end])
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -129,18 +168,20 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     per summary. Lengths below min_n only prune candidates; the scan stops
     at the first length with no repeats, which is safe because a repeated
     (n+1)-gram implies both of its n-sub-grams repeat in the same summaries.
-    Eq.1 is tallied in the same pass (see RepetitionIndex.tallies).
+    Each level's repeating classes become rows, taken from its arrays as
+    they are; Eq.1 is tallied in the same pass (see RepetitionIndex).
     """
     if min_n < 1:
         raise ValueError(f"min_n must be >= 1, got {min_n}")
 
-    summary_ids = [rec.id for rec in corpus.records]
-    token_lists = [rec.summary.tokens for rec in corpus.records]
-    n_docs = len(token_lists)
-    key, doc, starts = _encode(token_lists)
+    summary_ids = tuple(rec.id for rec in corpus.records)
+    documents = tuple(rec.summary.tokens for rec in corpus.records)
+    n_docs = len(documents)
+    key, doc, starts = _encode(documents)
 
-    entries: dict[NGram, frozenset[str]] = {}
-    id_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
+    # per level, the rows' n, window document and offset, count, and the
+    # documents of their pairs; an empty level first, for an empty index
+    parts = [(np.empty(0, dtype=np.int64),) * 5]
     # Eq.1 terms per summary: all types, and the part covered by a longer type
     m_all = np.zeros(n_docs, dtype=np.int64)
     raw_all = np.zeros(n_docs, dtype=np.int64)
@@ -174,13 +215,8 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
             window[cls] = np.arange(cls.size)
             first = window[repeats]
             first_doc = doc[first]
-            offsets = (pos[first] - starts[first_doc]).tolist()
-            pair_ids = list(map(summary_ids.__getitem__, pair_doc.tolist()))
-            counts = doc_counts[repeats]
-            ends = np.cumsum(counts).tolist()
-            for d, off, end, size in zip(first_doc.tolist(), offsets, ends, counts.tolist()):
-                ids = frozenset(pair_ids[end - size : end])
-                entries[token_lists[d][off : off + n]] = id_sets.setdefault(ids, ids)
+            parts.append((np.full(first.size, n), first_doc, pos[first] - starts[first_doc],
+                          doc_counts[repeats], pair_doc))
         prev_counts = doc_counts
 
     tallies = dict(
@@ -194,11 +230,17 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
             ),
         )
     )
+    row_n, row_doc, row_offset, row_count, pair_docs = map(np.concatenate, zip(*parts))
     return RepetitionIndex(
-        entries=entries,
         min_n=min_n,
         max_observed_n=max_observed,
-        corpus_size=n_docs,
+        summary_ids=summary_ids,
+        documents=documents,
+        row_n=row_n,
+        row_doc=row_doc,
+        row_offset=row_offset,
+        row_count=row_count,
+        pair_docs=pair_docs,
         tallies=tallies,
     )
 
@@ -235,13 +277,22 @@ class RepeatRow(NamedTuple):
 
 def top_repeats(index: RepetitionIndex, limit: int, min_count: int = 2) -> list[RepeatRow]:
     """Most widely shared n-grams, count descending; ties go to the longer
-    n-gram, then lexicographic token order. Token tuples are unique, so the
-    order is total and only the rows kept are ranked."""
+    n-gram, then lexicographic token order. The rows are ranked on (count,
+    n) in numpy; token tuples and id sets are made only for the first limit
+    rows and those tied with the last of them on (count, n), which are then
+    ordered by tokens. Token tuples are unique, so the order is total."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    counted = ((gram, ids) for gram, ids in index.entries.items() if len(ids) >= min_count)
-    top = heapq.nsmallest(limit, counted, key=lambda item: (-len(item[1]), -len(item[0]), item[0]))
-    return [RepeatRow(gram, len(ids), index.corpus_size, ids) for gram, ids in top]
+    rows = np.flatnonzero(index.row_count >= min_count)
+    counts, lengths = index.row_count[rows], index.row_n[rows]
+    ranked = np.lexsort((-lengths, -counts))
+    if ranked.size > limit:
+        last, rest = ranked[limit - 1], ranked[limit:]
+        tied = (counts[rest] == counts[last]) & (lengths[rest] == lengths[last])
+        # ranked runs by (-count, -n), so the rows tied with the last one follow it
+        ranked = ranked[: limit + int(np.count_nonzero(tied))]
+    top = sorted(index._rows(rows[ranked]), key=lambda row: (-len(row[1]), -len(row[0]), row[0]))
+    return [RepeatRow(gram, len(ids), index.corpus_size, ids) for gram, ids in top[:limit]]
 
 
 def index_export_lines(rows: Sequence[RepeatRow], *, with_ids: bool = False) -> Iterator[str]:

@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repscope.cli
 from repscope.cli import main
 from repscope.config import AnalysisConfig
 from repscope.corpus import TokenizerConfig
@@ -741,3 +743,48 @@ class TestStartup:
         assert setting == expected
         if preset is None and threads != "-1":
             assert threads == "1"
+
+
+class TestFitMemory:
+    """The fit runs from its designs alone, and report-all reads the index
+    only through the rows it prints."""
+
+    def test_report_all_never_builds_entries(self, fixture_corpora, tmp_path, monkeypatch):
+        indexes = []
+        build = repscope.cli.build_repetition_index
+
+        def kept(*args, **kwargs):
+            indexes.append(build(*args, **kwargs))
+            return indexes[-1]
+
+        monkeypatch.setattr(repscope.cli, "build_repetition_index", kept)
+        assert main(["report-all", *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
+        assert len(indexes) == len(fixture_corpora)
+        assert all("entries" not in vars(index) for index in indexes)
+
+    @pytest.mark.parametrize("command", ["regress", "report-all"])
+    def test_no_corpus_or_index_alive_during_fit(
+        self, fixture_corpora, tmp_path, monkeypatch, command
+    ):
+        refs = []
+        alive_in_fit = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                refs.append(weakref.ref(result))
+                return result
+            return wrapped
+
+        fit = repscope.cli.ols_fit
+
+        def checked_fit(*args, **kwargs):
+            alive_in_fit.append([ref() for ref in refs if ref() is not None])
+            return fit(*args, **kwargs)
+
+        for name in ("load_corpus", "build_repetition_index"):
+            monkeypatch.setattr(repscope.cli, name, recording(getattr(repscope.cli, name)))
+        monkeypatch.setattr(repscope.cli, "ols_fit", checked_fit)
+        assert main([command, *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
+        assert len(refs) == 2 * len(fixture_corpora)
+        assert alive_in_fit == [[], []]  # the full and the nested fit

@@ -76,6 +76,14 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_repetition_index(corpus, min_n=0)
 
+    def test_repr_is_short_and_indexes_compare_by_identity(self):
+        corpus = random_corpus(np.random.default_rng(3), max_summaries=200, vocab_lo=2, vocab_hi=4)
+        index = build_repetition_index(corpus)
+        again = build_repetition_index(corpus)
+        assert index.row_count.size > 100
+        assert len(repr(index)) < 100
+        assert index == index and index != again
+
     def test_custom_min_n(self):
         corpus = corpus_from_token_lists([("s1", list("ab")), ("s2", list("ab"))])
         index = build_repetition_index(corpus, min_n=2)
@@ -113,6 +121,30 @@ class TestTopRepeats:
 
     def test_min_count_above_max_gives_empty(self):
         assert top_repeats(self._index(), limit=10, min_count=10) == []
+
+    @pytest.mark.parametrize("min_count", [2, 3, 5])
+    def test_rows_equal_prefix_of_oracle_sort(self, min_count):
+        # every limit, so many cut inside a group of rows tied on (count, n)
+        rng = np.random.default_rng(min_count)
+        cuts_in_ties = 0
+        for _ in range(12):
+            corpus = random_corpus(rng, max_summaries=40, max_len=20, vocab_lo=2, vocab_hi=4)
+            oracle_entries, _ = pairwise_index_oracle(corpus)
+            ranked = sorted(
+                ((gram, ids) for gram, ids in oracle_entries.items() if len(ids) >= min_count),
+                key=lambda e: (-len(e[1]), -len(e[0]), e[0]),
+            )
+            index = build_repetition_index(corpus)
+            for limit in range(1, len(ranked) + 2):
+                rows = top_repeats(index, limit, min_count)
+                assert [(r.ngram, set(r.ids), r.count) for r in rows] == [
+                    (gram, ids, len(ids)) for gram, ids in ranked[:limit]
+                ]
+            cuts_in_ties += sum(
+                (len(a[1]), len(a[0])) == (len(b[1]), len(b[0]))
+                for a, b in zip(ranked, ranked[1:])
+            )
+        assert cuts_in_ties > 0
 
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError):
