@@ -6,6 +6,9 @@ them. The reports are collected during the run and published at its end,
 the manifest last, so a run that fails leaves the earlier reports whole and
 no manifest. Reports are deterministic: rerunning a command on identical
 inputs with an identical config reproduces every file byte for byte.
+``regress`` and ``report-all`` factor their designs in one forked helper
+process (``_FitHelper``), which loads scipy.linalg while the corpora load
+and is reaped before the command returns.
 
 Exit codes: 0 success, 1 input error, 2 analysis error.
 """
@@ -14,7 +17,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
+import signal
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +37,7 @@ from .metrics import (
 )
 from .ngrams import build_repetition_index, index_export_lines, top_repeats
 from .regression import build_design_matrix, likelihood_ratio_test, ols_fit
-from . import reports
+from . import regression, reports
 
 MANIFEST = "run_manifest.json"
 
@@ -170,6 +176,103 @@ def _score_corpus(corpus: Corpus, config: AnalysisConfig):
     ]
     dataset = dataset_repetition_score(corpus, index)
     return index, summaries, dataset
+
+
+class _FitHelper:
+    """``regression._factor`` in a forked helper process, for ``with``.
+
+    The helper imports scipy.linalg at once, so the import overlaps this
+    process's loading and scoring of the corpora, and this process never
+    loads scipy. It then factors each (X, y) pickled down its request pipe
+    and pickles back the result tuple or the exception raised, until the
+    pipe closes. Leaving the block kills and reaps it, so a run that ends before
+    its fit does not wait out the import. Where it cannot be forked, or
+    stops answering, ``factor`` runs ``_factor`` in this process.
+    """
+
+    def __enter__(self):
+        self.pid = None
+        fds = []
+        try:
+            fds = [*os.pipe(), *os.pipe()]
+            # fork() warns in a threaded process; the only threads here are
+            # numpy's OpenBLAS workers (OPENBLAS_NUM_THREADS > 1), which
+            # OpenBLAS stops before a fork
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except (AttributeError, OSError):
+            for fd in fds:
+                os.close(fd)
+            return self
+        request_r, request_w, reply_r, reply_w = fds
+        if pid == 0:
+            _serve_factor(*fds)
+        os.close(request_r)
+        os.close(reply_w)
+        self.pid = pid
+        self.requests = os.fdopen(request_w, "wb")
+        self.replies = os.fdopen(reply_r, "rb")
+        return self
+
+    def factor(self, X, y):
+        if self.pid is not None:
+            try:
+                pickle.dump((X, y), self.requests)
+                self.requests.flush()
+                reply = pickle.load(self.replies)
+            except (OSError, EOFError, pickle.UnpicklingError):  # the helper is gone
+                self._stop()
+            else:
+                if isinstance(reply, Exception):
+                    raise reply
+                return reply
+        return regression._factor(X, y)
+
+    def __exit__(self, *exc_info):
+        self._stop()
+
+    def _stop(self) -> None:
+        if self.pid is None:
+            return
+        os.kill(self.pid, signal.SIGKILL)
+        for pipe in (self.requests, self.replies):
+            try:
+                pipe.close()
+            except OSError:  # a request the dead helper never read
+                pass
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+
+def _serve_factor(request_r: int, request_w: int, reply_r: int, reply_w: int) -> None:
+    """The helper's body; it leaves only by ``os._exit``, so nothing of the
+    parent's (atexit hooks, stdio buffers) runs twice."""
+    try:
+        # the parent's ends: holding the request pipe's write end would hide its EOF
+        os.close(request_w)
+        os.close(reply_r)
+        # the import the helper overlaps; if it fails, the helper ends and
+        # the parent's in-process fallback raises it
+        import scipy.linalg  # noqa: F401
+
+        with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
+            while True:
+                try:
+                    X, y = pickle.load(requests)
+                except EOFError:
+                    break
+                try:
+                    reply = pickle.dumps(regression._factor(X, y))
+                except Exception as exc:  # the caller's to raise
+                    reply = pickle.dumps(exc)
+                # an exception that does not unpickle ends the helper here,
+                # and the parent factors again in process, raising it there
+                pickle.loads(reply)
+                replies.write(reply)
+                replies.flush()
+    finally:
+        os._exit(0)
 
 
 def _file_id(path) -> tuple[int, int] | None:
@@ -321,8 +424,8 @@ def _scored_designs(run: _Run, args: argparse.Namespace, emit_corpus_reports=Non
     """Load and score the corpora, let ``emit_corpus_reports`` write its
     reports from them, and build the fit's designs: the full one and, when
     interactions are on, the nested one (else None). The corpora and their
-    indexes die when this returns, so the fit, which loads scipy, runs from
-    the designs alone."""
+    indexes die when this returns, so the fit runs from the designs alone.
+    Meanwhile the fit helper loads scipy.linalg, in a process of its own."""
     corpora = _load_corpora(args.corpora, run.config.tokenizer)
     scored = [_score_corpus(c, run.config) for c in corpora]
     if emit_corpus_reports is not None:
@@ -340,9 +443,9 @@ def _scored_designs(run: _Run, args: argparse.Namespace, emit_corpus_reports=Non
     return design, nested
 
 
-def _emit_regression(run: _Run, design, nested_design) -> None:
+def _emit_regression(run: _Run, design, nested_design, factor) -> None:
     spec = run.config.regression
-    fit = ols_fit(design, confidence_level=spec.confidence_level)
+    fit = ols_fit(design, confidence_level=spec.confidence_level, factor=factor)
     run.emit("regression_coefficients", fit, csv=reports.fit_csv, markdown=reports.fit_markdown)
     columns = {"columns": list(design.column_names), "nested_columns": None}
 
@@ -352,7 +455,9 @@ def _emit_regression(run: _Run, design, nested_design) -> None:
                 "no train x test interaction columns in the design; LR test skipped"
             )
         else:
-            nested_fit = ols_fit(nested_design, confidence_level=spec.confidence_level)
+            nested_fit = ols_fit(
+                nested_design, confidence_level=spec.confidence_level, factor=factor
+            )
             run.emit(
                 "regression_nested", nested_fit,
                 csv=reports.fit_csv, markdown=reports.fit_markdown,
@@ -392,16 +497,22 @@ def cmd_abstractiveness(run: _Run, args: argparse.Namespace) -> None:
     _emit_abstractiveness(run, corpus)
 
 
+# The fitting bodies start the fit helper first, so that it loads scipy while
+# they load the corpora.
 def cmd_regress(run: _Run, args: argparse.Namespace) -> None:
-    _emit_regression(run, *_scored_designs(run, args))
+    with _FitHelper() as helper:
+        _emit_regression(run, *_scored_designs(run, args), helper.factor)
 
 
 def cmd_report_all(run: _Run, args: argparse.Namespace) -> None:
-    # of the steps in this try, only the designs and the fit raise AnalysisError
-    try:
-        _emit_regression(run, *_scored_designs(run, args, _emit_corpus_reports))
-    except AnalysisError as exc:
-        run.note(f"regression skipped: {exc}")
+    with _FitHelper() as helper:
+        # of the steps in this try, only the designs and the fit raise AnalysisError
+        try:
+            _emit_regression(
+                run, *_scored_designs(run, args, _emit_corpus_reports), helper.factor
+            )
+        except AnalysisError as exc:
+            run.note(f"regression skipped: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:

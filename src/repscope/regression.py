@@ -6,6 +6,11 @@ optionally crosses non-reference train and test datasets as interaction
 indicators. Fitting uses a pivoted QR decomposition; inference uses the
 t distribution; nested models are compared with a likelihood ratio test
 in the Gaussian form n * ln(rss_nested / rss_full).
+
+The QR and its triangular solves are ``_factor``, the only code that loads
+scipy. ``ols_fit`` calls it in process unless given a stand-in; the CLI
+passes one that runs it in a forked helper, which imports scipy.linalg
+while the corpora load. Everything else in the fit stays in the caller.
 """
 
 from __future__ import annotations
@@ -158,16 +163,42 @@ def build_design_matrix(
     return DesignMatrix(matrix=matrix, column_names=names, response=response)
 
 
-def ols_fit(design: DesignMatrix, *, confidence_level: float = 0.95) -> RegressionFit:
+def _rank(diag: np.ndarray, n: int, p: int) -> int:
+    """Numerical rank from the |diag(R)| of a pivoted QR of an n x p design."""
+    tol = (diag[0] if diag.size else 0.0) * max(n, p) * np.finfo(float).eps
+    return int(np.count_nonzero(diag > tol))
+
+
+def _factor(X: np.ndarray, y: np.ndarray) -> tuple:
+    """The LAPACK half of ``ols_fit``: a pivoted QR of ``X``.
+
+    Returns ``|diag(R)|`` and the pivot, followed, when ``X`` has full
+    column rank, by the pivoted coefficients and ``R^-1``. The CLI runs it
+    in a helper process, so it takes and returns only arrays.
+    """
+    # imported here so that only fitting pays for loading scipy
+    import scipy.linalg
+
+    q, r, pivot = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    if _rank(diag, *X.shape) < X.shape[1]:
+        return diag, pivot
+    coef_pivoted = scipy.linalg.solve_triangular(r, q.T @ y)
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(X.shape[1]))
+    return diag, pivot, coef_pivoted, r_inv
+
+
+def ols_fit(
+    design: DesignMatrix, *, confidence_level: float = 0.95, factor=None
+) -> RegressionFit:
     """Least squares fit with t-based inference.
 
     Solves via pivoted QR, which tolerates the collinear indicator blocks
     better than explicit normal equations; rank deficiency is an error that
     names the dependent columns rather than a silent pseudo-inverse.
+    ``factor`` stands in for ``_factor`` (the QR, run in this process by
+    default); the rank decision and all inference stay here.
     """
-    # imported here so that only fitting pays for loading scipy
-    import scipy.linalg
-
     X = design.matrix
     y = design.response
     n, p = X.shape
@@ -176,14 +207,12 @@ def ols_fit(design: DesignMatrix, *, confidence_level: float = 0.95) -> Regressi
             f"need more rows than parameters, got {n} rows for {p} parameters"
         )
 
-    q, r, pivot = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = (diag[0] if diag.size else 0.0) * max(n, p) * np.finfo(float).eps
-    rank = int(np.count_nonzero(diag > tol))
+    diag, pivot, *solved = (factor or _factor)(X, y)
+    rank = _rank(diag, n, p)
     if rank < p:
         raise RankDeficiencyError(sorted(design.column_names[j] for j in pivot[rank:]))
 
-    coef_pivoted = scipy.linalg.solve_triangular(r, q.T @ y)
+    coef_pivoted, r_inv = solved
     coef = np.empty(p)
     coef[pivot] = coef_pivoted
     residuals = y - X @ coef
@@ -191,7 +220,6 @@ def ols_fit(design: DesignMatrix, *, confidence_level: float = 0.95) -> Regressi
     dof = n - p
     sigma2 = rss / dof
 
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
     cov_diag_pivoted = np.sum(r_inv * r_inv, axis=1) * sigma2
     se = np.empty(p)
     se[pivot] = np.sqrt(cov_diag_pivoted)

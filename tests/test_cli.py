@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import weakref
@@ -13,10 +14,14 @@ import numpy as np
 import pytest
 
 import repscope.cli
+import repscope.regression
+from repscope import reports
 from repscope.cli import main
 from repscope.config import AnalysisConfig
-from repscope.corpus import TokenizerConfig
-from repscope.regression import RegressionSpec
+from repscope.corpus import TokenizerConfig, load_corpus
+from repscope.metrics import summary_repetition_score
+from repscope.ngrams import build_repetition_index
+from repscope.regression import RegressionSpec, build_design_matrix, ols_fit
 
 from conftest import UNREADABLE_CORPORA, child_env, write_jsonl
 
@@ -28,6 +33,24 @@ def read_csv(path):
 
 def dir_snapshot(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def write_uninhabited_interaction(tmp_path: Path) -> Path:
+    """A corpus whose design is rank deficient: no record is trained and
+    tested on XSum, so the 'XSum - XSum' interaction column is all zero."""
+    rng = np.random.default_rng(5)
+    lines = []
+    combos = [("Human", None, "CNN/DailyMail"), ("Human", None, "XSum"),
+              ("BART", "XSum", "CNN/DailyMail"), ("BART", "CNN/DailyMail", "XSum"),
+              ("BART", "CNN/DailyMail", "CNN/DailyMail")]
+    for i in range(60):
+        arch, train, test = combos[i % len(combos)]
+        obj = {"id": f"s{i}", "summary": " ".join(f"w{rng.integers(0, 999)}" for _ in range(int(rng.integers(5, 30)))),
+               "architecture": arch, "test_dataset": test}
+        if train:
+            obj["train_dataset"] = train
+        lines.append(obj)
+    return write_jsonl(tmp_path / "gap.jsonl", lines)
 
 
 def single_error_line(err: str) -> str:
@@ -310,19 +333,7 @@ class TestRegress:
 
     @pytest.mark.filterwarnings("error")
     def test_uninhabited_interaction_exits_2_naming_column(self, tmp_path, capsys):
-        rng = np.random.default_rng(5)
-        lines = []
-        combos = [("Human", None, "CNN/DailyMail"), ("Human", None, "XSum"),
-                  ("BART", "XSum", "CNN/DailyMail"), ("BART", "CNN/DailyMail", "XSum"),
-                  ("BART", "CNN/DailyMail", "CNN/DailyMail")]
-        for i in range(60):
-            arch, train, test = combos[i % len(combos)]
-            obj = {"id": f"s{i}", "summary": " ".join(f"w{rng.integers(0, 999)}" for _ in range(int(rng.integers(5, 30)))),
-                   "architecture": arch, "test_dataset": test}
-            if train:
-                obj["train_dataset"] = train
-            lines.append(obj)
-        path = write_jsonl(tmp_path / "gap.jsonl", lines)
+        path = write_uninhabited_interaction(tmp_path)
         out = tmp_path / "o"
         code = main(["regress", str(path), "--output-dir", str(out)])
         assert code == 2
@@ -685,7 +696,8 @@ class TestReportAll:
 
 
 # Runs the commands that do not fit, then regress, in one fresh interpreter,
-# and prints the scipy modules loaded after each phase.
+# and prints the scipy modules loaded after each phase. regress fits in a
+# forked helper, so no phase loads scipy into this process.
 SCIPY_CHILD = """
 import json, sys
 from repscope.cli import main
@@ -722,9 +734,19 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         before_fit, after_fit = map(json.loads, proc.stdout.splitlines())
-        assert before_fit == []
-        optimize = [m for m in after_fit if m.split(".")[:2] == ["scipy", "optimize"]]
-        assert "scipy.linalg" in after_fit and optimize == []
+        assert before_fit == [] and after_fit == []
+        # the helper's fit is the one ols_fit makes in process
+        config = AnalysisConfig()
+        records, scores = [], []
+        for path in fixture_corpora:
+            corpus = load_corpus(path, config.tokenizer)
+            index = build_repetition_index(corpus, config.min_n)
+            records += corpus.records
+            scores += [summary_repetition_score(r, index, mode=config.eq1_mode).score
+                       for r in corpus.records]
+        fit = ols_fit(build_design_matrix(records, scores, config.regression))
+        written = (tmp_path / "out" / "regression_coefficients.csv").read_bytes()
+        assert written == reports.fit_csv(fit).encode("utf-8")
 
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_openblas_threads_default_to_one(self, fixture_corpora, tmp_path, preset, expected):
@@ -743,6 +765,98 @@ class TestStartup:
         assert setting == expected
         if preset is None and threads != "-1":
             assert threads == "1"
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but unpickling calls it with one argument and fails."""
+
+    def __init__(self, message, code):
+        super().__init__(f"{message} (code {code})")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFitHelper:
+    """regress and report-all factor their designs in one forked helper,
+    which never outlives the run and whose faults reach the caller."""
+
+    def test_regress_success(self, fixture_corpora, tmp_path):
+        assert main(["regress", *fixture_corpora, "--output-dir", str(tmp_path / "o")]) == 0
+        assert_no_child_left()
+
+    def test_missing_second_corpus(self, fixture_corpora, tmp_path, capsys, monkeypatch):
+        statuses = []
+        waitpid = os.waitpid
+
+        def recording(pid, options):
+            statuses.append(waitpid(pid, options)[1])
+            return pid, statuses[-1]
+
+        monkeypatch.setattr(os, "waitpid", recording)
+        missing = str(tmp_path / "missing.jsonl")
+        argv = ["regress", fixture_corpora[0], missing, "--output-dir", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "missing.jsonl" in single_error_line(capsys.readouterr().err)
+        # killed, not left to finish loading scipy and see its pipe close
+        (status,) = statuses
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert_no_child_left()
+
+    def test_rank_deficient_regress(self, tmp_path, capsys):
+        path = write_uninhabited_interaction(tmp_path)
+        assert main(["regress", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+        line = single_error_line(capsys.readouterr().err)
+        assert line.startswith("error: design matrix is rank deficient") and "'XSum - XSum'" in line
+        assert_no_child_left()
+
+    def test_rank_deficient_report_all(self, tmp_path):
+        path = write_uninhabited_interaction(tmp_path)
+        out = tmp_path / "o"
+        assert main(["report-all", str(path), "--output-dir", str(out)]) == 0
+        notes = json.loads((out / "run_manifest.json").read_text())["notes"]
+        skipped = [n for n in notes if n.startswith("regression skipped: design matrix is rank")]
+        assert len(skipped) == 1 and "'XSum - XSum'" in skipped[0], notes
+        assert_no_child_left()
+
+    def test_helper_fault_reaches_caller(self, fixture_corpora, tmp_path, monkeypatch):
+        def failing(X, y):
+            raise RuntimeError(f"factor failed in process {os.getpid()}")
+
+        # the fork inherits the patch, so the helper raises it
+        monkeypatch.setattr(repscope.regression, "_factor", failing)
+        with pytest.raises(RuntimeError, match="factor failed in process") as info:
+            main(["regress", *fixture_corpora, "--output-dir", str(tmp_path / "o")])
+        assert str(os.getpid()) not in str(info.value)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["local_class", "two_argument_init"])
+    def test_fault_that_does_not_pickle_is_raised_in_process(
+        self, fixture_corpora, tmp_path, monkeypatch, kind
+    ):
+        class LocalError(Exception):  # pickles by name, which it lacks
+            pass
+
+        def failing(X, y):
+            message = f"factor failed in process {os.getpid()}"
+            raise LocalError(message) if kind == "local_class" else TwoArgumentError(message, 1)
+
+        error = LocalError if kind == "local_class" else TwoArgumentError
+        monkeypatch.setattr(repscope.regression, "_factor", failing)
+        with pytest.raises(error, match=f"factor failed in process {os.getpid()}"):
+            main(["regress", *fixture_corpora, "--output-dir", str(tmp_path / "o")])
+        assert_no_child_left()
+
+    def test_without_fork_the_fit_runs_in_process(self, fixture_corpora, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        assert main(["report-all", *fixture_corpora, "--output-dir", str(out)]) == 0
+        forked = dir_snapshot(out)
+        monkeypatch.delattr(os, "fork")
+        assert main(["report-all", *fixture_corpora, "--output-dir", str(out)]) == 0
+        assert dir_snapshot(out) == forked
+        assert_no_child_left()
 
 
 class TestFitMemory:
