@@ -19,6 +19,7 @@ import argparse
 import os
 import pickle
 import signal
+import stat
 import sys
 import warnings
 from dataclasses import replace
@@ -187,7 +188,7 @@ class _FitHelper:
     and pickles back the result tuple or the exception raised, until the
     pipe closes. Leaving the block kills and reaps it, so a run that ends before
     its fit does not wait out the import. Where it cannot be forked, or
-    stops answering, ``factor`` runs ``_factor`` in this process.
+    dies, ``factor`` runs ``_factor`` in this process.
     """
 
     def __enter__(self):
@@ -275,20 +276,30 @@ def _serve_factor(request_r: int, request_w: int, reply_r: int, reply_w: int) ->
         os._exit(0)
 
 
-def _file_id(path) -> tuple[int, int] | None:
-    """The (device, inode) pair of ``path``, following links; None if it
-    cannot be stat'ed, which ``os.path.exists`` reads as no file."""
+def _stat(path) -> os.stat_result | None:
+    """``os.stat(path)``, following links; None if it fails, which
+    ``os.path.exists`` reads as no file."""
     try:
-        st = os.stat(path)
+        return os.stat(path)
     except OSError:
         return None
-    return st.st_dev, st.st_ino
+
+
+def _digest(corpus: str) -> str:
+    """The manifest's sha256 of a corpus, read again after its load."""
+    try:
+        return reports.sha256_file(corpus)
+    except OSError as exc:
+        raise InputError(f"{corpus}: cannot read it again for its digest: "
+                         f"{exc.strerror or exc}") from exc
 
 
 class _Run:
     """Collects the report texts of one invocation; ``finish`` publishes them.
     It is the only code that touches ``--output-dir``, and it never writes or
-    removes a file the run reads: a corpus or the ``--config`` file."""
+    removes a file the run reads: a corpus or the ``--config`` file. Each
+    corpus is read twice, once to load it and once for its digest, so a
+    corpus that is not a regular file is refused before it is opened."""
 
     def __init__(
         self, command: str, config: AnalysisConfig, corpora: list[str], config_path: str | None
@@ -296,9 +307,16 @@ class _Run:
         self.command = command
         self.config = config
         self.corpora = corpora
+        inputs = {p: _stat(p) for p in (*corpora, config_path) if p}
+        for path in corpora:
+            if inputs[path] is not None and not stat.S_ISREG(inputs[path].st_mode):
+                raise InputError(
+                    f"{path}: not a regular file; a corpus is read twice, "
+                    "to load it and for its digest"
+                )
         # the (st_dev, st_ino) pairs ``os.path.samefile`` compares, taken once
         # here so that checking an output costs one stat, whatever the inputs
-        self.read_ids = {_file_id(p) for p in (*corpora, config_path) if p} - {None}
+        self.read_ids = {(st.st_dev, st.st_ino) for st in inputs.values() if st is not None}
         self.output_dir = Path(config.output_dir)
         self.files: dict[str, str] = {}
         self.notes: list[str] = []
@@ -316,7 +334,8 @@ class _Run:
         """``output_dir / name``; ``InputError`` if that is a file the run
         reads, since writing or removing it would destroy the input."""
         path = self.output_dir / name
-        if _file_id(path) in self.read_ids:
+        st = _stat(path)
+        if st is not None and (st.st_dev, st.st_ino) in self.read_ids:
             raise InputError(f"{path}: output is an input file; choose another --output-dir")
         return path
 
@@ -359,7 +378,7 @@ class _Run:
             "command": self.command,
             "config": config_dict,
             "config_sha256": reports.sha256_bytes(config_json),
-            "inputs": [{"path": p, "sha256": reports.sha256_file(p)} for p in self.corpora],
+            "inputs": [{"path": p, "sha256": _digest(p)} for p in self.corpora],
             "outputs": sorted(self.files),
             "notes": self.notes,
         }

@@ -31,6 +31,9 @@ class MissingPairedInputError(InputError):
         more = "" if len(self.record_ids) <= 10 else f" (and {len(self.record_ids) - 10} more)"
         super().__init__(f"records without a paired input: {shown}{more}")
 
+    def __reduce__(self):  # by default pickle would pass the message as record_ids
+        return type(self), (self.record_ids,)
+
 
 class AnalysisError(RepscopeError):
     """The requested analysis cannot be computed on this data."""
@@ -49,3 +52,6 @@ class RankDeficiencyError(AnalysisError):
             "design matrix is rank deficient; linearly dependent or constant "
             "columns: " + ", ".join(repr(c) for c in self.columns)
         )
+
+    def __reduce__(self):  # by default pickle would pass the message as columns
+        return type(self), (self.columns,)

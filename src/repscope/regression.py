@@ -7,10 +7,11 @@ indicators. Fitting uses a pivoted QR decomposition; inference uses the
 t distribution; nested models are compared with a likelihood ratio test
 in the Gaussian form n * ln(rss_nested / rss_full).
 
-The QR and its triangular solves are ``_factor``, the only code that loads
-scipy. ``ols_fit`` calls it in process unless given a stand-in; the CLI
-passes one that runs it in a forked helper, which imports scipy.linalg
-while the corpora load. Everything else in the fit stays in the caller.
+The fit's linear algebra is ``_factor``: the QR, the rank, the coefficients
+and their unscaled variances. It is the only code that loads scipy, and it
+takes and returns only arrays and numbers, so a caller can hand ``ols_fit``
+a stand-in that runs it elsewhere. The rank check and the inference stay
+in ``ols_fit``.
 """
 
 from __future__ import annotations
@@ -163,29 +164,30 @@ def build_design_matrix(
     return DesignMatrix(matrix=matrix, column_names=names, response=response)
 
 
-def _rank(diag: np.ndarray, n: int, p: int) -> int:
-    """Numerical rank from the |diag(R)| of a pivoted QR of an n x p design."""
-    tol = (diag[0] if diag.size else 0.0) * max(n, p) * np.finfo(float).eps
-    return int(np.count_nonzero(diag > tol))
-
-
 def _factor(X: np.ndarray, y: np.ndarray) -> tuple:
-    """The LAPACK half of ``ols_fit``: a pivoted QR of ``X``.
+    """The linear algebra of ``ols_fit``: a pivoted QR of ``X``.
 
-    Returns ``|diag(R)|`` and the pivot, followed, when ``X`` has full
-    column rank, by the pivoted coefficients and ``R^-1``. The CLI runs it
-    in a helper process, so it takes and returns only arrays.
+    Returns ``(rank, pivot, coef, unit_var)``: the numerical rank, the
+    column pivot and, when ``X`` has full column rank, the coefficients and
+    the diagonal of ``(X'X)^-1``, both in column order. Below full rank
+    the last two are None, and ``pivot[rank:]`` names dependent columns.
     """
     # imported here so that only fitting pays for loading scipy
     import scipy.linalg
 
+    n, p = X.shape
     q, r, pivot = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    if _rank(diag, *X.shape) < X.shape[1]:
-        return diag, pivot
-    coef_pivoted = scipy.linalg.solve_triangular(r, q.T @ y)
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(X.shape[1]))
-    return diag, pivot, coef_pivoted, r_inv
+    tol = (diag[0] if diag.size else 0.0) * max(n, p) * np.finfo(float).eps
+    rank = int(np.count_nonzero(diag > tol))
+    if rank < p:
+        return rank, pivot, None, None
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+    coef = np.empty(p)
+    coef[pivot] = scipy.linalg.solve_triangular(r, q.T @ y)
+    unit_var = np.empty(p)
+    unit_var[pivot] = np.sum(r_inv * r_inv, axis=1)
+    return rank, pivot, coef, unit_var
 
 
 def ols_fit(
@@ -196,8 +198,8 @@ def ols_fit(
     Solves via pivoted QR, which tolerates the collinear indicator blocks
     better than explicit normal equations; rank deficiency is an error that
     names the dependent columns rather than a silent pseudo-inverse.
-    ``factor`` stands in for ``_factor`` (the QR, run in this process by
-    default); the rank decision and all inference stay here.
+    ``factor`` stands in for ``_factor`` (run in this process by default);
+    the rank check and all inference stay here.
     """
     X = design.matrix
     y = design.response
@@ -207,22 +209,14 @@ def ols_fit(
             f"need more rows than parameters, got {n} rows for {p} parameters"
         )
 
-    diag, pivot, *solved = (factor or _factor)(X, y)
-    rank = _rank(diag, n, p)
+    rank, pivot, coef, unit_var = (factor or _factor)(X, y)
     if rank < p:
         raise RankDeficiencyError(sorted(design.column_names[j] for j in pivot[rank:]))
 
-    coef_pivoted, r_inv = solved
-    coef = np.empty(p)
-    coef[pivot] = coef_pivoted
     residuals = y - X @ coef
     rss = float(residuals @ residuals)
     dof = n - p
-    sigma2 = rss / dof
-
-    cov_diag_pivoted = np.sum(r_inv * r_inv, axis=1) * sigma2
-    se = np.empty(p)
-    se[pivot] = np.sqrt(cov_diag_pivoted)
+    se = np.sqrt(unit_var * (rss / dof))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = coef / se

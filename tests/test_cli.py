@@ -111,6 +111,57 @@ class TestScore:
         assert f"bad.jsonl:{lineno}: {message}" in single_error_line(capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["named_pipe", "piped_stdin"])
+    def test_corpus_that_is_not_a_regular_file_exits_1(self, fixture_corpora, tmp_path, source):
+        # the manifest's digest reads each corpus a second time, which a pipe
+        # cannot give; a child process, so that a run which opens the named
+        # pipe (and waits for a writer) fails the test rather than hanging it
+        if source == "named_pipe":
+            corpus, data = str(tmp_path / "pipe.jsonl"), None
+            os.mkfifo(corpus)
+        else:
+            corpus, data = "/dev/stdin", Path(fixture_corpora[0]).read_bytes()
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repscope.cli", "score", corpus, "--output-dir", str(out)],
+            input=data, env=child_env(), capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert single_error_line(proc.stderr.decode()) == (
+            f"error: {corpus}: not a regular file; a corpus is read twice, "
+            "to load it and for its digest"
+        )
+        assert not out.exists()
+
+    def test_stdin_redirected_from_a_file_is_a_corpus(self, fixture_corpora, tmp_path):
+        out = tmp_path / "out"
+        with open(fixture_corpora[0], "rb") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repscope.cli", "score", "/dev/stdin",
+                 "--output-dir", str(out)],
+                stdin=stdin, env=child_env(), capture_output=True, timeout=60,
+            )
+        assert proc.returncode == 0, proc.stderr
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        assert inputs == [{"path": "/dev/stdin", "sha256": reports.sha256_file(fixture_corpora[0])}]
+
+    def test_corpus_gone_before_its_digest_exits_1(self, fixture_corpora, tmp_path, capsys,
+                                                   monkeypatch):
+        load = repscope.cli.load_corpus
+
+        def load_then_remove(path, *args):
+            corpus = load(path, *args)
+            os.remove(path)
+            return corpus
+
+        monkeypatch.setattr(repscope.cli, "load_corpus", load_then_remove)
+        out = tmp_path / "out"
+        assert main(["score", fixture_corpora[0], "--output-dir", str(out)]) == 1
+        assert single_error_line(capsys.readouterr().err).startswith(
+            f"error: {fixture_corpora[0]}: cannot read it again for its digest: "
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["score", "repeats", "abstractiveness", "regress",
                                          "report-all"])
     @pytest.mark.parametrize("content", ["", "\n  \n\t\n"], ids=["empty", "blank_lines"])

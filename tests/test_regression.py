@@ -8,6 +8,7 @@ from repscope.errors import DegenerateDesignError, RankDeficiencyError
 from repscope.regression import (
     DesignMatrix,
     RegressionSpec,
+    _factor,
     build_design_matrix,
     likelihood_ratio_test,
     ols_fit,
@@ -247,6 +248,37 @@ class TestOlsFit:
         assert shuffled_fit.column_names == fit.column_names
         assert shuffled_fit.coefficients == pytest.approx(fit.coefficients, abs=1e-10)
         assert shuffled_fit.p_values == pytest.approx(fit.p_values, abs=1e-10)
+
+
+class TestFactor:
+    """``_factor``'s reply, which ``ols_fit`` and its stand-ins share: the
+    rank, the pivot and, at full rank only, the fit in column order."""
+
+    def test_full_rank_reply_in_column_order(self):
+        rng = np.random.default_rng(67)
+        # scaled so that the pivoted QR reorders the columns
+        X = np.column_stack([np.ones(50), rng.standard_normal((50, 3))]) * [1.0, 0.1, 10.0, 1e3]
+        y = rng.standard_normal(50)
+        rank, pivot, coef, unit_var = _factor(X, y)
+        assert rank == 4
+        assert sorted(pivot) == [0, 1, 2, 3] and list(pivot) != [0, 1, 2, 3]
+        np.testing.assert_allclose(coef, np.linalg.solve(X.T @ X, X.T @ y), rtol=1e-8)
+        np.testing.assert_allclose(unit_var, np.diag(np.linalg.inv(X.T @ X)), rtol=1e-8)
+
+    def test_uninhabited_interaction_reply(self):
+        # no record is trained and tested on XSum, so 'XSum - XSum' is all zero
+        combos = [("Human", None, "CNN/DailyMail"), ("Human", None, "XSum"),
+                  ("BART", "XSum", "CNN/DailyMail"), ("BART", "CNN/DailyMail", "XSum"),
+                  ("BART", "CNN/DailyMail", "CNN/DailyMail")]
+        records = [
+            make_record(f"s{i}", ["w"] * (5 + i % 7), architecture=arch, train_dataset=train,
+                        test_dataset=test)
+            for i, (arch, train, test) in enumerate(combos * 4)
+        ]
+        design = build_design_matrix(records, [float(i % 3) for i in range(20)], SPEC)
+        rank, pivot, coef, unit_var = _factor(design.matrix, design.response)
+        assert rank < design.n_cols and (coef, unit_var) == (None, None)
+        assert [design.column_names[j] for j in pivot[rank:]] == ["XSum - XSum"]
 
 
 class TestLikelihoodRatio:
