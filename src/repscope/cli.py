@@ -6,9 +6,11 @@ them. The reports are collected during the run and published at its end,
 the manifest last, so a run that fails leaves the earlier reports whole and
 no manifest. Reports are deterministic: rerunning a command on identical
 inputs with an identical config reproduces every file byte for byte.
-``regress`` and ``report-all`` factor their designs in one forked helper
-process (``_FitHelper``), which loads scipy.linalg while the corpora load
-and is reaped before the command returns.
+``score``, ``regress`` and ``report-all`` share one step that loads and
+scores the corpora (``_scored``). ``regress`` and ``report-all`` then pool
+the scores of every corpus into one regression, and factor its designs in
+one forked helper process (``_FitHelper``), which loads scipy.linalg while
+the corpora load and is reaped before the command returns.
 
 Exit codes: 0 success, 1 input error, 2 analysis error.
 """
@@ -179,6 +181,13 @@ def _score_corpus(corpus: Corpus, config: AnalysisConfig):
     return index, summaries, dataset
 
 
+def _scored(run: _Run, args: argparse.Namespace):
+    """The corpora, loaded, and each one's index, summary scores and
+    dataset score."""
+    corpora = _load_corpora(args.corpora, run.config.tokenizer)
+    return corpora, [_score_corpus(c, run.config) for c in corpora]
+
+
 class _FitHelper:
     """``regression._factor`` in a forked helper process, for ``with``.
 
@@ -195,7 +204,9 @@ class _FitHelper:
         self.pid = None
         fds = []
         try:
-            fds = [*os.pipe(), *os.pipe()]
+            # one pipe at a time, so that the except closes what was opened
+            for _ in range(2):
+                fds += os.pipe()
             # fork() warns in a threaded process; the only threads here are
             # numpy's OpenBLAS workers (OPENBLAS_NUM_THREADS > 1), which
             # OpenBLAS stops before a fork
@@ -439,71 +450,45 @@ def _emit_abstractiveness(run: _Run, corpus: Corpus, *, suffix: str = "") -> Non
     )
 
 
-def _scored_designs(run: _Run, args: argparse.Namespace, emit_corpus_reports=None):
-    """Load and score the corpora, let ``emit_corpus_reports`` write its
-    reports from them, and build the fit's designs: the full one and, when
-    interactions are on, the nested one (else None). The corpora and their
-    indexes die when this returns, so the fit runs from the designs alone.
-    Meanwhile the fit helper loads scipy.linalg, in a process of its own."""
-    corpora = _load_corpora(args.corpora, run.config.tokenizer)
-    scored = [_score_corpus(c, run.config) for c in corpora]
-    if emit_corpus_reports is not None:
-        emit_corpus_reports(run, corpora, scored, args)
+def _emit_regression(run: _Run, corpora: list[Corpus], scored, factor) -> None:
+    """Fit the scores of every corpus pooled and, when interactions are on,
+    compare the fit with the nested one without them by the LR test."""
     records = []
     scores = []
     for corpus, (_, summaries, _) in zip(corpora, scored):
         records.extend(corpus.records)
         scores.extend(s.score for s in summaries)
     spec = run.config.regression
+    # the nested design's columns are a subset of this one's, so building it
+    # after the full fit raises no error that this build would not raise first
     design = build_design_matrix(records, scores, spec)
-    nested = None
-    if spec.include_interactions:
-        nested = build_design_matrix(records, scores, replace(spec, include_interactions=False))
-    return design, nested
-
-
-def _emit_regression(run: _Run, design, nested_design, factor) -> None:
-    spec = run.config.regression
     fit = ols_fit(design, confidence_level=spec.confidence_level, factor=factor)
     run.emit("regression_coefficients", fit, csv=reports.fit_csv, markdown=reports.fit_markdown)
     columns = {"columns": list(design.column_names), "nested_columns": None}
 
-    if nested_design is not None:
-        if set(nested_design.column_names) == set(design.column_names):
+    if spec.include_interactions:
+        nested = build_design_matrix(records, scores, replace(spec, include_interactions=False))
+        if set(nested.column_names) == set(design.column_names):
             run.note(
                 "no train x test interaction columns in the design; LR test skipped"
             )
         else:
-            nested_fit = ols_fit(
-                nested_design, confidence_level=spec.confidence_level, factor=factor
-            )
+            nested_fit = ols_fit(nested, confidence_level=spec.confidence_level, factor=factor)
             run.emit(
                 "regression_nested", nested_fit,
                 csv=reports.fit_csv, markdown=reports.fit_markdown,
             )
             lr = likelihood_ratio_test(fit, nested_fit, critical_value=spec.lr_critical_value)
             run.write("lr_test.json", reports.lr_test_json(lr))
-            columns["nested_columns"] = list(nested_design.column_names)
+            columns["nested_columns"] = list(nested.column_names)
 
     run.write("design_columns.json", reports.canonical_json(columns))
-
-
-def _emit_corpus_reports(run: _Run, corpora: list[Corpus], scored, args) -> None:
-    """report-all's reports of the corpora themselves: all but the fit."""
-    _emit_scores(run, corpora, scored)
-    for corpus, (index, _, _) in zip(corpora, scored):
-        _emit_repeats(run, corpus, index, args, suffix=f"_{corpus.name}")
-        try:
-            _emit_abstractiveness(run, corpus, suffix=f"_{corpus.name}")
-        except MissingPairedInputError:
-            run.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
 
 
 # Report bodies: each loads the corpora and writes its reports into ``run``;
 # ``main`` publishes them.
 def cmd_score(run: _Run, args: argparse.Namespace) -> None:
-    corpora = _load_corpora(args.corpora, run.config.tokenizer)
-    _emit_scores(run, corpora, [_score_corpus(c, run.config) for c in corpora])
+    _emit_scores(run, *_scored(run, args))
 
 
 def cmd_repeats(run: _Run, args: argparse.Namespace) -> None:
@@ -520,16 +505,21 @@ def cmd_abstractiveness(run: _Run, args: argparse.Namespace) -> None:
 # they load the corpora.
 def cmd_regress(run: _Run, args: argparse.Namespace) -> None:
     with _FitHelper() as helper:
-        _emit_regression(run, *_scored_designs(run, args), helper.factor)
+        _emit_regression(run, *_scored(run, args), helper.factor)
 
 
 def cmd_report_all(run: _Run, args: argparse.Namespace) -> None:
     with _FitHelper() as helper:
-        # of the steps in this try, only the designs and the fit raise AnalysisError
+        corpora, scored = _scored(run, args)
+        _emit_scores(run, corpora, scored)
+        for corpus, (index, _, _) in zip(corpora, scored):
+            _emit_repeats(run, corpus, index, args, suffix=f"_{corpus.name}")
+            try:
+                _emit_abstractiveness(run, corpus, suffix=f"_{corpus.name}")
+            except MissingPairedInputError:
+                run.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
         try:
-            _emit_regression(
-                run, *_scored_designs(run, args, _emit_corpus_reports), helper.factor
-            )
+            _emit_regression(run, corpora, scored, helper.factor)
         except AnalysisError as exc:
             run.note(f"regression skipped: {exc}")
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -7,7 +8,6 @@ import re
 import signal
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +370,35 @@ class TestRegress:
         columns = json.loads((out / "design_columns.json").read_text())
         assert columns["nested_columns"] is None
 
+    @pytest.mark.parametrize("command", ["regress", "report-all"])
+    def test_no_interaction_columns_skips_lr_test(self, tmp_path, command):
+        # every record tests on the reference test set, so no train x test
+        # column exists and the nested design equals the full one
+        combos = [("Human", None), ("BART", "CNN/DailyMail"), ("BART", "XSum")]
+        lines = []
+        for i in range(12):
+            arch, train = combos[i % len(combos)]
+            obj = {"id": f"s{i}", "summary": " ".join(f"w{i}x{j}" for j in range(3 + i % 5)),
+                   "input": f"source text {i}", "architecture": arch,
+                   "test_dataset": "CNN/DailyMail"}
+            if train:
+                obj["train_dataset"] = train
+            lines.append(obj)
+        path = write_jsonl(tmp_path / "one_test_set.jsonl", lines)
+        out = tmp_path / "o"
+        assert main([command, str(path), "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["notes"] == [
+            "no train x test interaction columns in the design; LR test skipped"
+        ]
+        assert not list(out.glob("regression_nested.*"))
+        assert not (out / "lr_test.json").exists()
+        columns = json.loads((out / "design_columns.json").read_text())
+        assert columns["nested_columns"] is None
+        assert columns["columns"] == [
+            "Intercept", "Summary length (z)", "BART", "Train XSum"
+        ]
+
     def test_single_architecture_missing_reference_exits_2(self, tmp_path, capsys):
         lines = [
             {"id": f"s{i}", "summary": f"one two three four five w{i}",
@@ -724,6 +753,15 @@ class TestReportAll:
                     stem, ext = filename.split(".")
                     twin = all_out / f"{stem}_{name}.{ext}"
                     assert (out / filename).read_bytes() == twin.read_bytes(), filename
+        # score's and regress's reports of the pooled corpora bear report-all's names
+        everything = dir_snapshot(all_out)
+        for command, count in (("score", 8), ("regress", 6)):
+            out = tmp_path / command
+            assert main([command, *fixture_corpora, "--output-dir", str(out)]) == 0
+            written = dir_snapshot(out)
+            del written["run_manifest.json"]
+            assert len(written) == count, sorted(written)
+            assert written == {name: everything.get(name) for name in written}
 
     @pytest.mark.parametrize("inputs", [(None, None), ("a b c", None)],
                              ids=["no_record_has_input", "one_record_lacks_input"])
@@ -909,9 +947,40 @@ class TestFitHelper:
         assert dir_snapshot(out) == forked
         assert_no_child_left()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_second_pipe_leaks_no_descriptor(self, fixture_corpora, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        assert main(["regress", *fixture_corpora, "--output-dir", str(out)]) == 0
+        normal = dir_snapshot(out)
+        pipe = os.pipe
+        calls = []
+
+        def second_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
+
+        monkeypatch.setattr(os, "pipe", second_fails)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        assert main(["regress", *fixture_corpora, "--output-dir", str(out)]) == 0
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert dir_snapshot(out) == normal
+        assert_no_child_left()
+
+    def test_helper_gone_before_the_fit(self, fixture_corpora, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        assert main(["report-all", *fixture_corpora, "--output-dir", str(out)]) == 0
+        normal = dir_snapshot(out)
+        # the fork inherits the patch, so the helper ends before it reads a request
+        monkeypatch.setattr(repscope.cli, "_serve_factor", lambda *fds: os._exit(0))
+        assert main(["report-all", *fixture_corpora, "--output-dir", str(out)]) == 0
+        assert dir_snapshot(out) == normal
+        assert_no_child_left()
+
 
 class TestFitMemory:
-    """The fit runs from its designs alone, and report-all reads the index
+    """Each corpus is loaded and indexed once, and report-all reads the index
     only through the rows it prints."""
 
     def test_report_all_never_builds_entries(self, fixture_corpora, tmp_path, monkeypatch):
@@ -928,28 +997,20 @@ class TestFitMemory:
         assert all("entries" not in vars(index) for index in indexes)
 
     @pytest.mark.parametrize("command", ["regress", "report-all"])
-    def test_no_corpus_or_index_alive_during_fit(
+    def test_each_corpus_loaded_and_indexed_once_for_two_fits(
         self, fixture_corpora, tmp_path, monkeypatch, command
     ):
-        refs = []
-        alive_in_fit = []
+        calls = []
 
-        def recording(fn):
+        def counted(name, fn):
             def wrapped(*args, **kwargs):
-                result = fn(*args, **kwargs)
-                refs.append(weakref.ref(result))
-                return result
+                calls.append(name)
+                return fn(*args, **kwargs)
             return wrapped
 
-        fit = repscope.cli.ols_fit
-
-        def checked_fit(*args, **kwargs):
-            alive_in_fit.append([ref() for ref in refs if ref() is not None])
-            return fit(*args, **kwargs)
-
-        for name in ("load_corpus", "build_repetition_index"):
-            monkeypatch.setattr(repscope.cli, name, recording(getattr(repscope.cli, name)))
-        monkeypatch.setattr(repscope.cli, "ols_fit", checked_fit)
+        for name in ("load_corpus", "build_repetition_index", "ols_fit"):
+            monkeypatch.setattr(repscope.cli, name, counted(name, getattr(repscope.cli, name)))
         assert main([command, *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
-        assert len(refs) == 2 * len(fixture_corpora)
-        assert alive_in_fit == [[], []]  # the full and the nested fit
+        n = len(fixture_corpora)
+        # the full and the nested fit
+        assert calls == ["load_corpus"] * n + ["build_repetition_index"] * n + ["ols_fit"] * 2
