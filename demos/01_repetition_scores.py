@@ -30,6 +30,7 @@ texts = {
 records = tuple(
     SummaryRecord(
         id=rid,
+        text=text,
         summary=tokenize(text, config),
         architecture="DemoSystem",
         train_dataset="news",

@@ -41,9 +41,9 @@ for i in range(2000):
         phrase = stock_phrases[rng.integers(0, len(stock_phrases))].split()
         pos = rng.integers(0, len(tokens) - len(phrase) + 1)
         tokens[pos : pos + len(phrase)] = phrase
-    seq = TokenSequence(tokens=tuple(tokens), text=" ".join(tokens))
     records.append(
-        SummaryRecord(id=f"s{i}", summary=seq, architecture="DemoSystem",
+        SummaryRecord(id=f"s{i}", text=" ".join(tokens),
+                      summary=TokenSequence(tokens=tuple(tokens)), architecture="DemoSystem",
                       train_dataset="synthetic", test_dataset="synthetic")
     )
 

@@ -36,6 +36,7 @@ pairs = [
 records = tuple(
     SummaryRecord(
         id=rid,
+        text=summary,
         summary=tokenize(summary, config),
         input=tokenize(document, config),
         architecture="Human",

@@ -41,9 +41,9 @@ for i in range(4000):
         if rng.random() < echo_prob:
             pos = int(rng.integers(0, length - len(STOCK) + 1))
             tokens[pos : pos + len(STOCK)] = STOCK
-    seq = TokenSequence(tokens=tuple(tokens), text=" ".join(tokens))
     records.append(
-        SummaryRecord(id=f"s{i}", summary=seq, architecture=arch,
+        SummaryRecord(id=f"s{i}", text=" ".join(tokens),
+                      summary=TokenSequence(tokens=tuple(tokens)), architecture=arch,
                       train_dataset=train, test_dataset=test)
     )
 

@@ -434,7 +434,7 @@ def _emit_repeats(
     rows = top_repeats(index, args.limit, args.min_count)
     export = "".join(line + "\n" for line in index_export_lines(rows, with_ids=args.with_ids))
     run.write(f"repeats{suffix}.jsonl", export)
-    texts = {rec.id: rec.summary.text for rec in corpus.records}
+    texts = {rec.id: rec.text for rec in corpus.records}
     run.emit(
         f"repeats{suffix}", rows, texts,
         csv=reports.repeats_csv, markdown=reports.repeats_markdown,

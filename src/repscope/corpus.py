@@ -2,7 +2,9 @@
 
 A corpus is an ordered collection of summary records, each tokenized once
 under a single tokenizer configuration. All downstream analyses (n-gram
-indexing, repetition scores, regression) operate on these records.
+indexing, repetition scores, abstractiveness, regression) operate on the
+tokens. A record keeps one raw string, its summary as written, for the
+reports that quote it; a paired input keeps only its tokens.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ class TokenizerConfig:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """A normalized token stream plus the raw text it came from."""
+    """A normalized token stream; it holds no copy of the text it came from."""
 
     tokens: tuple[str, ...]
-    text: str
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -75,7 +76,7 @@ def tokenize(
     *,
     memo: dict[str, tuple[str, ...]] | None = None,
 ) -> TokenSequence:
-    """Tokenize text deterministically under ``config``.
+    """The tokens of ``raw_text`` under ``config``; the text itself is not kept.
 
     Whitespace-delimited units, optionally case folded, optionally with
     leading/trailing punctuation split into separate tokens. Total function:
@@ -98,18 +99,21 @@ def tokenize(
             parts = tuple(map(sys.intern, _split_unit(unit) if split else (unit,)))
             memo[unit] = parts
         tokens += parts
-    return TokenSequence(tokens=tuple(tokens), text=raw_text)
+    return TokenSequence(tokens=tuple(tokens))
 
 
 @dataclass(frozen=True)
 class SummaryRecord:
     """One summary with its generation metadata.
 
-    ``train_dataset`` is absent for human-written references; ``input`` is
-    the paired source document, needed only for abstractiveness.
+    ``text`` is the summary as written, the one raw string a report quotes;
+    ``summary`` holds its tokens. ``train_dataset`` is absent for
+    human-written references; ``input`` holds the tokens of the paired
+    source document, read only by abstractiveness.
     """
 
     id: str
+    text: str
     summary: TokenSequence
     architecture: str
     test_dataset: str
@@ -177,6 +181,7 @@ def _record_from_line(
                 raise ValueError(f"field {field_name!r} holds a lone surrogate {lone.group()!r}")
     return SummaryRecord(
         id=obj["id"],
+        text=obj["summary"],
         summary=tokenize(obj["summary"], config, memo=memo),
         architecture=obj["architecture"],
         test_dataset=obj["test_dataset"],
@@ -190,7 +195,9 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
 
     Each line is an object with required fields "id", "summary",
     "architecture", "test_dataset" and optional "input", "train_dataset".
-    Blank lines are skipped. Errors report the file and line number.
+    Blank lines are skipped. Errors report the file and line number. A
+    record keeps its summary's text and tokens, and only the tokens of its
+    input.
     """
     if config is None:
         config = TokenizerConfig()

@@ -26,18 +26,14 @@ def make_record(
     input_tokens=None,
 ) -> SummaryRecord:
     tokens = tuple(tokens)
-    seq = TokenSequence(tokens=tokens, text=" ".join(tokens))
-    input_seq = None
-    if input_tokens is not None:
-        input_tokens = tuple(input_tokens)
-        input_seq = TokenSequence(tokens=input_tokens, text=" ".join(input_tokens))
     return SummaryRecord(
         id=rid,
-        summary=seq,
+        text=" ".join(tokens),
+        summary=TokenSequence(tokens=tokens),
         architecture=architecture,
         test_dataset=test_dataset,
         train_dataset=train_dataset,
-        input=input_seq,
+        input=None if input_tokens is None else TokenSequence(tokens=tuple(input_tokens)),
     )
 
 

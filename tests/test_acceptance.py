@@ -368,9 +368,9 @@ def _formulaic_corpus(n_summaries: int, mean_len: int, seed: int) -> Corpus:
             phrase = phrases[phrase_pick[i]]
             pos = int(rng.integers(0, len(tokens) - len(phrase) + 1))
             tokens[pos : pos + len(phrase)] = phrase
-        seq = TokenSequence(tokens=tuple(tokens), text=" ".join(tokens))
         records.append(
-            SummaryRecord(id=f"s{i}", summary=seq, architecture="BART",
+            SummaryRecord(id=f"s{i}", text=" ".join(tokens),
+                          summary=TokenSequence(tokens=tuple(tokens)), architecture="BART",
                           train_dataset="d0", test_dataset="d0")
         )
     return Corpus(records=tuple(records), name="formulaic")

@@ -763,6 +763,29 @@ class TestReportAll:
             assert len(written) == count, sorted(written)
             assert written == {name: everything.get(name) for name in written}
 
+    def test_repeats_example_is_the_summary_as_written(self, tmp_path):
+        # the example cell quotes the summary itself: not its tokens joined,
+        # which lose case, split edge punctuation and fold the line break,
+        # and not its paired input
+        summaries = {
+            "s1": "\u201cSign Up for our FREE daily briefing,\u201d said "
+                  "Z\u00fcrich\u2019s editor.\nMore to follow\u2026",
+            "s2": "Sign up for our free daily briefing \u2014 Caf\u00e9 news, d\u00e9j\u00e0 vu.",
+            "s3": "Nothing else repeats here.",
+        }
+        lines = [
+            {"id": rid, "summary": text, "input": f"The source behind {rid}.",
+             "architecture": "Human", "test_dataset": "d"}
+            for rid, text in summaries.items()
+        ]
+        out = tmp_path / "out"
+        path = write_jsonl(tmp_path / "quoted.jsonl", lines)
+        assert main(["report-all", str(path), "--output-dir", str(out)]) == 0
+        rows = read_csv(out / "repeats_quoted.csv")
+        assert {row["ngram"] for row in rows} >= {"sign up for our", "our free daily briefing"}
+        for row in rows:
+            assert row["example"].encode() == summaries[row["example_id"]].encode()
+
     @pytest.mark.parametrize("inputs", [(None, None), ("a b c", None)],
                              ids=["no_record_has_input", "one_record_lacks_input"])
     def test_abstractiveness_skipped_without_inputs(self, tmp_path, capsys, inputs):

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -127,6 +128,7 @@ class TestRecordInvariants:
     def test_length_tokens_matches_summary(self):
         rec = SummaryRecord(
             id="r1",
+            text="one two three",
             summary=tokenize("one two three"),
             architecture="BART",
             test_dataset="d",
@@ -137,6 +139,7 @@ class TestRecordInvariants:
         with pytest.raises(ValueError, match="Human"):
             SummaryRecord(
                 id="r1",
+                text="text",
                 summary=tokenize("text"),
                 architecture="Human",
                 test_dataset="d",
@@ -145,10 +148,12 @@ class TestRecordInvariants:
 
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
-            SummaryRecord(id="", summary=tokenize("x"), architecture="A", test_dataset="d")
+            SummaryRecord(id="", text="x", summary=tokenize("x"), architecture="A",
+                          test_dataset="d")
 
     def test_duplicate_ids_rejected_by_corpus(self):
-        rec = SummaryRecord(id="dup", summary=tokenize("x"), architecture="A", test_dataset="d")
+        rec = SummaryRecord(id="dup", text="x", summary=tokenize("x"), architecture="A",
+                            test_dataset="d")
         with pytest.raises(InputError, match="dup"):
             Corpus(records=(rec, rec), name="c")
 
@@ -281,6 +286,7 @@ class TestLoadCorpus:
         for rec, (summary, source) in zip(corpus.records, texts, strict=True):
             want = tokenize(summary, config).tokens
             assert rec.summary.tokens == want == _reference_tokens(summary, config)
+            assert rec.text == summary
             if source is None:
                 assert rec.input is None
             else:
@@ -289,6 +295,24 @@ class TestLoadCorpus:
             for seq in (rec.summary, rec.input):
                 if seq is not None:
                     assert all(sys.intern(tok) is tok for tok in seq.tokens)
+
+    def test_input_keeps_only_its_tokens(self, tmp_path):
+        # abstractiveness reads an input's tokens only: once loaded, the
+        # corpus holds no copy of the input's text (here about 4.4 MB of one
+        # unit, whose 4,000 tokens share one interned string)
+        source = " ".join(["boilerplate" * 100] * 4000)
+        lines = [{"id": "s1", "summary": "a b", "input": source,
+                  "architecture": "A", "test_dataset": "d"}]
+        path = write_jsonl(tmp_path / "c.jsonl", lines)
+        del source, lines
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus.records[0].input) == 4000
+        assert held < 1_000_000
 
     def test_empty_summary_allowed(self, tmp_path):
         lines = [{"id": "s1", "summary": "", "architecture": "A", "test_dataset": "d"}]
