@@ -98,66 +98,116 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[_run_starts(values)]
 
 
-def _encode(docs: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The documents' tokens end to end as vocabulary ids, the document of
-    each token, and each document's start in that array."""
+# Windows, documents and classes are numbered in int32 arrays; numpy would
+# wrap a larger count without an error.
+_MAX_TOKENS = 2**31
+
+
+def _encode(docs: Sequence[Sequence[str]]) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """The documents' tokens end to end as vocabulary ids, numbered from 0 in
+    first-seen order, the number of ids, the document of each token, and each
+    document's start in that array."""
     lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    total = int(lengths.sum())
+    if max(total, len(docs)) >= _MAX_TOKENS:
+        raise ValueError(
+            f"{total} tokens in {len(docs)} documents: both must stay below {_MAX_TOKENS}"
+        )
     vocab: defaultdict[str, int] = defaultdict(count().__next__)  # token -> id, in one pass
     token_ids = map(vocab.__getitem__, chain.from_iterable(docs))
-    ids = np.fromiter(token_ids, dtype=np.int64, count=int(lengths.sum()))
-    doc = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
-    return ids, doc, np.cumsum(lengths) - lengths
+    ids = np.fromiter(token_ids, dtype=np.int32, count=total)
+    doc = np.repeat(np.arange(len(docs), dtype=np.int32), lengths)
+    return ids, len(vocab), doc, np.cumsum(lengths) - lengths
 
 
-def _shared_levels(key: np.ndarray, doc: np.ndarray, n_docs: int, max_n: int = 0) -> Iterator:
+def _rank(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each key's rank among the distinct keys, as int32, and their number."""
+    order = np.argsort(key)
+    ranks = np.cumsum(_run_starts(key[order]), dtype=np.int32)
+    ranks -= 1
+    cls = np.empty_like(ranks)
+    cls[order] = ranks
+    return cls, int(ranks[-1]) + 1 if ranks.size else 0
+
+
+def _shared_levels(
+    cls: np.ndarray, n_classes: int, doc: np.ndarray, n_docs: int,
+    tally_from: int | None = None, max_n: int = 0,
+) -> Iterator:
     """Yield each window length n, from 1 up, at which two or more documents
-    hold a common window, as (n, pos, doc, cls, keep, left, right, pairs,
-    pair_cls, doc_counts): per candidate window in position order, its start
-    in the flat array, document, class, whether two documents hold that
-    class, and its halves' classes (None at n = 1); every distinct (class,
-    document) pair as class * n_docs + document, ascending, and its class;
-    the number of documents of each class.
+    hold a common window, as (n, pos, doc, cls, left, right, pairs, pair_cls,
+    doc_counts). pos, doc, cls, left and right hold, for every window of a
+    shared class in position order, its start in the flat array, its
+    document, its class and its halves' classes; the halves are None at
+    n = 1 and at n <= tally_from. From n = tally_from on, pairs holds every
+    distinct (class, document) pair as class * n_docs + document, ascending,
+    pair_cls its class, and doc_counts the number of documents of each
+    class; below tally_from, and without one, these three are None.
 
-    key holds one value per token, equal exactly when two tokens are, and
-    doc its document. Classes are equal exactly when two windows spell the
-    same tokens: the (n+1)-window at p gets the rank of the pair (class of
-    the n-window at p, class of the n-window at p + 1). Documents sharing a
-    window share both its halves, so candidates at n+1 only start where two
-    adjacent shared n-windows start in one document, which keeps long
-    corpora cheap. The scan stops at the first n with no shared class, or
-    after max_n when it is given.
+    cls holds the level-1 class of each token, numbered densely from 0 to
+    n_classes - 1 and equal exactly when two tokens are (the index passes
+    its vocabulary ids as they are), and doc its document; both are int32.
+    Classes are equal exactly when two windows spell the same tokens: the
+    (n+1)-window at p gets the rank of the pair (class of the n-window at p,
+    class of the n-window at p + 1). Below tally_from a class is shared when
+    its lowest and highest documents differ, which needs no (class,
+    document) pairs; from tally_from on, when it has two such pairs.
+    Documents sharing a window share both its halves, so candidates at n+1
+    only start where two adjacent shared n-windows start in one document,
+    which keeps long corpora cheap. The scan stops at the first n with no
+    shared class, or after max_n when it is given. Each array is dropped as
+    soon as it has been read, so a caller should drop what it holds of one
+    level before asking for the next.
     """
-    # A class is below the number of windows, so with fewer than about 3e9
-    # tokens and documents the keys left * n_classes + right and class *
-    # n_docs + doc stay below 2**63.
-    pos = np.arange(key.size, dtype=np.int64)
+    # Classes are below the number of windows, so with fewer than 2**31
+    # windows and documents the int64 keys left * n_classes + right and
+    # class * n_docs + doc stay below 2**62.
+    pos = np.arange(cls.size, dtype=np.int32)
     left = right = None
     n = 1
-    while key.size:
-        order = np.argsort(key)
-        sorted_cls = np.cumsum(_run_starts(key[order])) - 1
-        n_classes = int(sorted_cls[-1]) + 1
-        pairs = _distinct(sorted_cls * n_docs + doc[order])
-        pair_cls = pairs // n_docs
-        doc_counts = np.bincount(pair_cls, minlength=n_classes)
-        shared = doc_counts >= 2
-        if not shared.any():
-            return
-        cls = np.empty_like(sorted_cls)
-        cls[order] = sorted_cls
+    while True:
+        tallied = tally_from is not None and n >= tally_from
+        if tallied:
+            pairs = _distinct(cls.astype(np.int64) * n_docs + doc)
+            pair_cls = pairs // n_docs
+            doc_counts = np.bincount(pair_cls, minlength=n_classes)
+            shared = doc_counts >= 2
+        else:
+            pairs = pair_cls = doc_counts = None
+            low = np.full(n_classes, n_docs, dtype=np.int32)
+            high = np.zeros(n_classes, dtype=np.int32)
+            np.minimum.at(low, cls, doc)
+            np.maximum.at(high, cls, doc)
+            shared = low < high
+            del low, high
         keep = shared[cls]
-        yield n, pos, doc, cls, keep, left, right, pairs, pair_cls, doc_counts
+        del shared
+        pos, doc, cls = pos[keep], doc[keep], cls[keep]
+        if left is not None:
+            left, right = left[keep], right[keep]
+        del keep
+        if not cls.size:
+            return
+        yield n, pos, doc, cls, left, right, pairs, pair_cls, doc_counts
+        del pairs, pair_cls, doc_counts
         if n == max_n:
             return
 
         # next candidates: adjacent shared windows within one document
-        pos, doc, cls = pos[keep], doc[keep], cls[keep]
         adjacent = (pos[1:] == pos[:-1] + 1) & (doc[1:] == doc[:-1])
         left = cls[:-1][adjacent]
         right = cls[1:][adjacent]
+        del cls
         pos = pos[:-1][adjacent]
         doc = doc[:-1][adjacent]
-        key = left * n_classes + right
+        del adjacent
+        if not pos.size:
+            return
+        key = left.astype(np.int64) * n_classes + right
+        if not tallied:
+            left = right = None
+        cls, n_classes = _rank(key)
+        del key
         n += 1
 
 
@@ -177,7 +227,11 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     summary_ids = tuple(rec.id for rec in corpus.records)
     documents = tuple(rec.summary.tokens for rec in corpus.records)
     n_docs = len(documents)
-    key, doc, starts = _encode(documents)
+    ids, n_ids, doc, starts = _encode(documents)
+    # the ids are dense and numbered in first-seen order, so they are the
+    # level-1 classes as they are
+    levels = _shared_levels(ids, n_ids, doc, n_docs, tally_from=min_n)
+    del ids, doc
 
     # per level, the rows' n, window document and offset, count, and the
     # documents of their pairs; an empty level first, for an empty index
@@ -188,8 +242,7 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     m_covered = np.zeros(n_docs, dtype=np.int64)
     raw_covered = np.zeros(n_docs, dtype=np.int64)
     max_observed = 0
-    levels = _shared_levels(key, doc, n_docs)
-    for n, pos, doc, cls, keep, left, right, pairs, pair_cls, doc_counts in levels:
+    for n, pos, doc, cls, left, right, pairs, pair_cls, doc_counts in levels:
         if n >= min_n:
             max_observed = n
             repeats = doc_counts >= 2
@@ -201,23 +254,24 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
                 # an (n-1)-type of a summary lies inside a longer repeating
                 # type of it exactly when it is a half of a repeating
                 # n-window there
-                kept_doc = doc[keep]
                 covered = _distinct(
-                    np.concatenate((left[keep], right[keep])) * n_docs
-                    + np.concatenate((kept_doc, kept_doc))
+                    np.concatenate((left, right), dtype=np.int64) * n_docs
+                    + np.concatenate((doc, doc))
                 )
                 covered_doc = covered % n_docs
                 np.add.at(m_covered, covered_doc, 1)
                 np.add.at(raw_covered, covered_doc, prev_counts[covered // n_docs])
 
             # any window of a class spells its n-gram; take one per class
-            window = np.empty(doc_counts.size, dtype=np.int64)
-            window[cls] = np.arange(cls.size)
+            window = np.empty(doc_counts.size, dtype=np.int32)
+            window[cls] = np.arange(cls.size, dtype=np.int32)
             first = window[repeats]
             first_doc = doc[first]
             parts.append((np.full(first.size, n), first_doc, pos[first] - starts[first_doc],
                           doc_counts[repeats], pair_doc))
-        prev_counts = doc_counts
+            prev_counts = doc_counts
+        # so the next level is built while this loop holds none of this one's windows
+        del pos, doc, cls, left, right, pairs, pair_cls, doc_counts
 
     tallies = dict(
         zip(
@@ -248,15 +302,21 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
 def paired_window_matches(records: Sequence[SummaryRecord], max_n: int) -> dict[int, int]:
     """For each n up to max_n at which any match exists, how many summary
     n-windows, over all the records, also occur in their own record's input.
-    Record r's summary is document 2r and its input 2r + 1, and a token's key
-    is its id * len(records) + r, so a class that two documents hold is
+    Record r's summary is document 2r and its input 2r + 1, and a token's
+    class is the rank of its (id, r), so a class that two documents hold is
     exactly an n-gram found in both the summary and the input of one record."""
     n_records = len(records)
-    key, doc, _ = _encode([seq.tokens for rec in records for seq in (rec.summary, rec.input)])
+    ids, _, doc, _ = _encode([seq.tokens for rec in records for seq in (rec.summary, rec.input)])
+    key = ids.astype(np.int64) * n_records + doc // 2
+    del ids
+    cls, n_classes = _rank(key)
+    del key
+    levels = _shared_levels(cls, n_classes, doc, 2 * n_records, max_n=max_n)
+    del cls, doc
     matches = {}
-    levels = _shared_levels(key * n_records + doc // 2, doc, 2 * n_records, max_n)
-    for n, _, doc, _, keep, *_ in levels:
-        matches[n] = int(np.count_nonzero(doc[keep] % 2 == 0))
+    for n, pos, doc, *rest in levels:
+        matches[n] = int(np.count_nonzero(doc % 2 == 0))
+        del pos, doc, rest
     return matches
 
 

@@ -49,6 +49,36 @@ def corpus_from_token_lists(token_lists, name="synthetic") -> Corpus:
     return Corpus(records=tuple(records), name=name)
 
 
+def formulaic_corpus(n_summaries: int, mean_len: int, seed: int) -> Corpus:
+    """Synthetic corpus with a pool of stock phrases so that repeats are
+    plentiful and chain up to realistic lengths."""
+    rng = np.random.default_rng(seed)
+    filler_vocab = np.array([f"t{i}" for i in range(30000)])
+    phrase_vocab = [f"p{i}" for i in range(800)]
+    phrases = [
+        [phrase_vocab[v] for v in rng.integers(0, len(phrase_vocab), size=rng.integers(5, 11))]
+        for _ in range(500)
+    ]
+    lengths = np.maximum(8, rng.poisson(mean_len, size=n_summaries))
+    has_phrase = rng.random(n_summaries) < 0.8
+    phrase_pick = rng.integers(0, len(phrases), size=n_summaries)
+    flat = filler_vocab[rng.integers(0, len(filler_vocab), size=int(lengths.sum()))].tolist()
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    records = []
+    for i in range(n_summaries):
+        tokens = flat[offsets[i] : offsets[i + 1]]
+        if has_phrase[i]:
+            phrase = phrases[phrase_pick[i]]
+            pos = int(rng.integers(0, len(tokens) - len(phrase) + 1))
+            tokens[pos : pos + len(phrase)] = phrase
+        records.append(
+            SummaryRecord(id=f"s{i}", text=" ".join(tokens),
+                          summary=TokenSequence(tokens=tuple(tokens)), architecture="BART",
+                          train_dataset="d0", test_dataset="d0")
+        )
+    return Corpus(records=tuple(records), name="formulaic")
+
+
 def random_corpus(rng, *, max_summaries=200, max_len=30, vocab_lo=10, vocab_hi=50, name="rand"):
     n_summaries = int(rng.integers(2, max_summaries + 1))
     vocab_size = int(rng.integers(vocab_lo, vocab_hi + 1))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repscope.corpus import Corpus, SummaryRecord, TokenSequence, load_corpus
+from repscope.corpus import load_corpus
 from repscope.metrics import (
     abstractiveness_rows,
     dataset_repetition_score,
@@ -41,6 +41,7 @@ from conftest import (
 from oracles import (
     chi2_sf_quad,
     eq1_oracle,
+    formulaic_corpus,
     make_record,
     normal_equations_fit,
     pairwise_index_oracle,
@@ -121,13 +122,13 @@ def test_maximal_only_scores_match_direct_oracle(indexed_random_corpora):
 
 def test_dense_repeat_corpora_match_oracles():
     """Tiny vocabularies, so nearly every short window repeats and every
-    index level is crowded; both Eq.1 modes, the dataset score and min_n
-    below 4 included."""
+    index level is crowded; both Eq.1 modes, the dataset score, and min_n
+    from 1 to 5, so the levels that are tallied start at every depth."""
     rng = np.random.default_rng(20261018)
     mismatches = 0
     worst = 0.0
-    for i in range(90):
-        min_n = (1, 2, 4)[i % 3]
+    for i in range(150):
+        min_n = (1, 2, 3, 4, 5)[i % 5]
         corpus = random_corpus(rng, max_summaries=30, max_len=40, vocab_lo=2, vocab_hi=8)
         index = build_repetition_index(corpus, min_n)
         oracle_entries, oracle_max = pairwise_index_oracle(corpus, min_n)
@@ -346,38 +347,8 @@ def test_report_all_determinism_across_processes(tmp_path):
     )
 
 
-def _formulaic_corpus(n_summaries: int, mean_len: int, seed: int) -> Corpus:
-    """Synthetic corpus with a pool of stock phrases so that repeats are
-    plentiful and chain up to realistic lengths."""
-    rng = np.random.default_rng(seed)
-    filler_vocab = np.array([f"t{i}" for i in range(30000)])
-    phrase_vocab = [f"p{i}" for i in range(800)]
-    phrases = [
-        [phrase_vocab[v] for v in rng.integers(0, len(phrase_vocab), size=rng.integers(5, 11))]
-        for _ in range(500)
-    ]
-    lengths = np.maximum(8, rng.poisson(mean_len, size=n_summaries))
-    has_phrase = rng.random(n_summaries) < 0.8
-    phrase_pick = rng.integers(0, len(phrases), size=n_summaries)
-    flat = filler_vocab[rng.integers(0, len(filler_vocab), size=int(lengths.sum()))].tolist()
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    records = []
-    for i in range(n_summaries):
-        tokens = flat[offsets[i] : offsets[i + 1]]
-        if has_phrase[i]:
-            phrase = phrases[phrase_pick[i]]
-            pos = int(rng.integers(0, len(tokens) - len(phrase) + 1))
-            tokens[pos : pos + len(phrase)] = phrase
-        records.append(
-            SummaryRecord(id=f"s{i}", text=" ".join(tokens),
-                          summary=TokenSequence(tokens=tuple(tokens)), architecture="BART",
-                          train_dataset="d0", test_dataset="d0")
-        )
-    return Corpus(records=tuple(records), name="formulaic")
-
-
 def test_performance_100k_summaries():
-    corpus = _formulaic_corpus(100_000, 60, seed=409)
+    corpus = formulaic_corpus(100_000, 60, seed=409)
     start = time.perf_counter()
     index = build_repetition_index(corpus)
     scores = [summary_repetition_score(rec, index) for rec in corpus.records]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,11 +276,35 @@ class TestAbstractiveness:
         records.insert(len(records) // 2, make_record("long", summary, input_tokens=summary[5:25]))
         corpus = Corpus(records=tuple(records), name="blocks")
         monkeypatch.setattr(metrics, "_BLOCK_TOKENS", block_tokens)
-        ns = (4, 1, 9, 2, 3)
-        rows = abstractiveness_rows(corpus, ns)
-        assert [row.n for row in rows] == list(ns)
-        for row in rows:
-            assert row.percent_novel == abstractiveness_oracle(corpus, row.n)
+        # the scan's last level is 9, 1 or 2
+        for ns in ((4, 1, 9, 2, 3), (1,), (2,)):
+            rows = abstractiveness_rows(corpus, ns)
+            assert [row.n for row in rows] == list(ns)
+            for row in rows:
+                assert row.percent_novel == abstractiveness_oracle(corpus, row.n)
+
+    def test_traced_peak_per_token(self):
+        # each level of the paired scan keeps only narrow arrays it still
+        # reads: the traced peak is divided by the 100,000 summary plus
+        # input tokens of the corpus
+        rng = np.random.default_rng(0)
+        records = []
+        for i in range(250):
+            source = [f"w{v}" for v in rng.integers(0, 5000, size=360)]
+            start = int(rng.integers(0, 340))
+            summary = source[start : start + 20] + [f"w{v}" for v in rng.integers(0, 5000, size=20)]
+            records.append(make_record(f"s{i}", summary, input_tokens=source))
+        corpus = Corpus(records=tuple(records), name="paired")
+        tokens = sum(len(rec.summary) + len(rec.input) for rec in records)
+        assert tokens == 100_000
+        tracemalloc.start()
+        try:
+            rows = abstractiveness_rows(corpus, (1, 2, 3, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < rows[3].percent_novel < 100
+        assert peak / tokens < 50
 
 
 class TestLengthStatistics:

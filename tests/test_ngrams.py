@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repscope import ngrams
 from repscope.errors import EmptyCorpusError
 from repscope.corpus import Corpus, tokenize
 from repscope.metrics import summary_repetition_score
@@ -15,6 +17,7 @@ from repscope.ngrams import (
 from oracles import (
     corpus_from_token_lists,
     eq1_oracle,
+    formulaic_corpus,
     make_record,
     pairwise_index_oracle,
     random_corpus,
@@ -89,6 +92,32 @@ class TestBuildIndex:
         index = build_repetition_index(corpus, min_n=2)
         assert tuple("ab") in index.entries
         assert index.min_n == 2
+
+    def test_token_count_below_int32_limit(self, monkeypatch):
+        # windows are numbered in int32, so a corpus of 2**31 tokens is
+        # refused rather than wrapped; here the limit is lowered to 8
+        corpus = corpus_from_token_lists([list("abcd"), list("abcd")])
+        monkeypatch.setattr(ngrams, "_MAX_TOKENS", 9)
+        assert build_repetition_index(corpus).max_observed_n == 4
+        monkeypatch.setattr(ngrams, "_MAX_TOKENS", 8)
+        with pytest.raises(ValueError, match="8 tokens in 2 documents.*below 8"):
+            build_repetition_index(corpus)
+
+    def test_traced_peak_per_summary_token(self):
+        # each level keeps only narrow arrays it still reads: the traced peak
+        # of building the index, the index included, is divided by the
+        # corpus's 98,721 summary tokens
+        corpus = formulaic_corpus(1_650, 60, seed=0)
+        tokens = sum(len(rec.summary) for rec in corpus.records)
+        assert tokens == 98_721
+        tracemalloc.start()
+        try:
+            index = build_repetition_index(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.max_observed_n == 10
+        assert peak / tokens < 80
 
 
 class TestTopRepeats:
