@@ -4,13 +4,14 @@ Every command reads JSON-Lines corpora, writes reports into --output-dir,
 and drops a run manifest (config hash, input digests, tool version) beside
 them. The reports are collected during the run and published at its end,
 the manifest last, so a run that fails leaves the earlier reports whole and
-no manifest. Reports are deterministic: rerunning a command on identical
-inputs with an identical config reproduces every file byte for byte.
-``score``, ``regress`` and ``report-all`` share one step that loads and
-scores the corpora (``_scored``). ``regress`` and ``report-all`` then pool
-the scores of every corpus into one regression, and factor its designs in
-one forked helper process (``_FitHelper``), which loads scipy.linalg while
-the corpora load and is reaped before the command returns.
+no manifest; a usage error exits before the old manifest is removed.
+Reports are deterministic: rerunning a command on identical inputs with an
+identical config reproduces every file byte for byte. ``score``,
+``regress`` and ``report-all`` share one step that loads and scores the
+corpora (``_scored``). ``regress`` and ``report-all`` then pool the scores
+of every corpus into one regression, fitted in this process: only that fit
+loads scipy's LAPACK wrappers (``regression._factor``), and no command
+forks.
 
 Exit codes: 0 success, 1 input error, 2 analysis error.
 """
@@ -19,11 +20,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
-import signal
 import stat
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +38,7 @@ from .metrics import (
 )
 from .ngrams import build_repetition_index, index_export_lines, top_repeats
 from .regression import build_design_matrix, likelihood_ratio_test, ols_fit
-from . import regression, reports
+from . import reports
 
 MANIFEST = "run_manifest.json"
 
@@ -186,105 +184,6 @@ def _scored(run: _Run, args: argparse.Namespace):
     dataset score."""
     corpora = _load_corpora(args.corpora, run.config.tokenizer)
     return corpora, [_score_corpus(c, run.config) for c in corpora]
-
-
-class _FitHelper:
-    """``regression._factor`` in a forked helper process, for ``with``.
-
-    The helper imports scipy.linalg at once, so the import overlaps this
-    process's loading and scoring of the corpora, and this process never
-    loads scipy. It then factors each (X, y) pickled down its request pipe
-    and pickles back the result tuple or the exception raised, until the
-    pipe closes. Leaving the block kills and reaps it, so a run that ends before
-    its fit does not wait out the import. Where it cannot be forked, or
-    dies, ``factor`` runs ``_factor`` in this process.
-    """
-
-    def __enter__(self):
-        self.pid = None
-        fds = []
-        try:
-            # one pipe at a time, so that the except closes what was opened
-            for _ in range(2):
-                fds += os.pipe()
-            # fork() warns in a threaded process; the only threads here are
-            # numpy's OpenBLAS workers (OPENBLAS_NUM_THREADS > 1), which
-            # OpenBLAS stops before a fork
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except (AttributeError, OSError):
-            for fd in fds:
-                os.close(fd)
-            return self
-        request_r, request_w, reply_r, reply_w = fds
-        if pid == 0:
-            _serve_factor(*fds)
-        os.close(request_r)
-        os.close(reply_w)
-        self.pid = pid
-        self.requests = os.fdopen(request_w, "wb")
-        self.replies = os.fdopen(reply_r, "rb")
-        return self
-
-    def factor(self, X, y):
-        if self.pid is not None:
-            try:
-                pickle.dump((X, y), self.requests)
-                self.requests.flush()
-                reply = pickle.load(self.replies)
-            except (OSError, EOFError, pickle.UnpicklingError):  # the helper is gone
-                self._stop()
-            else:
-                if isinstance(reply, Exception):
-                    raise reply
-                return reply
-        return regression._factor(X, y)
-
-    def __exit__(self, *exc_info):
-        self._stop()
-
-    def _stop(self) -> None:
-        if self.pid is None:
-            return
-        os.kill(self.pid, signal.SIGKILL)
-        for pipe in (self.requests, self.replies):
-            try:
-                pipe.close()
-            except OSError:  # a request the dead helper never read
-                pass
-        os.waitpid(self.pid, 0)
-        self.pid = None
-
-
-def _serve_factor(request_r: int, request_w: int, reply_r: int, reply_w: int) -> None:
-    """The helper's body; it leaves only by ``os._exit``, so nothing of the
-    parent's (atexit hooks, stdio buffers) runs twice."""
-    try:
-        # the parent's ends: holding the request pipe's write end would hide its EOF
-        os.close(request_w)
-        os.close(reply_r)
-        # the import the helper overlaps; if it fails, the helper ends and
-        # the parent's in-process fallback raises it
-        import scipy.linalg  # noqa: F401
-
-        with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
-            while True:
-                try:
-                    X, y = pickle.load(requests)
-                except EOFError:
-                    break
-                try:
-                    reply = pickle.dumps(regression._factor(X, y))
-                except Exception as exc:  # the caller's to raise
-                    reply = pickle.dumps(exc)
-                # an exception that does not unpickle ends the helper here,
-                # and the parent factors again in process, raising it there
-                pickle.loads(reply)
-                replies.write(reply)
-                replies.flush()
-    finally:
-        os._exit(0)
 
 
 def _stat(path) -> os.stat_result | None:
@@ -450,7 +349,7 @@ def _emit_abstractiveness(run: _Run, corpus: Corpus, *, suffix: str = "") -> Non
     )
 
 
-def _emit_regression(run: _Run, corpora: list[Corpus], scored, factor) -> None:
+def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
     """Fit the scores of every corpus pooled and, when interactions are on,
     compare the fit with the nested one without them by the LR test."""
     records = []
@@ -462,7 +361,7 @@ def _emit_regression(run: _Run, corpora: list[Corpus], scored, factor) -> None:
     # the nested design's columns are a subset of this one's, so building it
     # after the full fit raises no error that this build would not raise first
     design = build_design_matrix(records, scores, spec)
-    fit = ols_fit(design, confidence_level=spec.confidence_level, factor=factor)
+    fit = ols_fit(design, confidence_level=spec.confidence_level)
     run.emit("regression_coefficients", fit, csv=reports.fit_csv, markdown=reports.fit_markdown)
     columns = {"columns": list(design.column_names), "nested_columns": None}
 
@@ -473,7 +372,7 @@ def _emit_regression(run: _Run, corpora: list[Corpus], scored, factor) -> None:
                 "no train x test interaction columns in the design; LR test skipped"
             )
         else:
-            nested_fit = ols_fit(nested, confidence_level=spec.confidence_level, factor=factor)
+            nested_fit = ols_fit(nested, confidence_level=spec.confidence_level)
             run.emit(
                 "regression_nested", nested_fit,
                 csv=reports.fit_csv, markdown=reports.fit_markdown,
@@ -501,27 +400,23 @@ def cmd_abstractiveness(run: _Run, args: argparse.Namespace) -> None:
     _emit_abstractiveness(run, corpus)
 
 
-# The fitting bodies start the fit helper first, so that it loads scipy while
-# they load the corpora.
 def cmd_regress(run: _Run, args: argparse.Namespace) -> None:
-    with _FitHelper() as helper:
-        _emit_regression(run, *_scored(run, args), helper.factor)
+    _emit_regression(run, *_scored(run, args))
 
 
 def cmd_report_all(run: _Run, args: argparse.Namespace) -> None:
-    with _FitHelper() as helper:
-        corpora, scored = _scored(run, args)
-        _emit_scores(run, corpora, scored)
-        for corpus, (index, _, _) in zip(corpora, scored):
-            _emit_repeats(run, corpus, index, args, suffix=f"_{corpus.name}")
-            try:
-                _emit_abstractiveness(run, corpus, suffix=f"_{corpus.name}")
-            except MissingPairedInputError:
-                run.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
+    corpora, scored = _scored(run, args)
+    _emit_scores(run, corpora, scored)
+    for corpus, (index, _, _) in zip(corpora, scored):
+        _emit_repeats(run, corpus, index, args, suffix=f"_{corpus.name}")
         try:
-            _emit_regression(run, corpora, scored, helper.factor)
-        except AnalysisError as exc:
-            run.note(f"regression skipped: {exc}")
+            _emit_abstractiveness(run, corpus, suffix=f"_{corpus.name}")
+        except MissingPairedInputError:
+            run.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
+    try:
+        _emit_regression(run, corpora, scored)
+    except AnalysisError as exc:
+        run.note(f"regression skipped: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -530,11 +425,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = effective_config(args)
-        run = _Run(args.command, config, args.corpora, args.config)
+        # checked before ``_Run`` removes the old manifest, as the config is
         if getattr(args, "limit", 1) < 1:
             raise InputError(f"--limit must be >= 1, got {args.limit}")
         if getattr(args, "min_count", 2) < 2:
             raise InputError(f"--min-count must be >= 2, got {args.min_count}")
+        run = _Run(args.command, config, args.corpora, args.config)
         args.func(run, args)
         run.finish()
         return 0

@@ -8,15 +8,22 @@ t distribution; nested models are compared with a likelihood ratio test
 in the Gaussian form n * ln(rss_nested / rss_full).
 
 The fit's linear algebra is ``_factor``: the QR, the rank, the coefficients
-and their unscaled variances. It is the only code that loads scipy, and it
-takes and returns only arrays and numbers, so a caller can hand ``ols_fit``
-a stand-in that runs it elsewhere. The rank check and the inference stay
+and their unscaled variances. It calls three of scipy's compiled LAPACK
+wrappers (``dgeqp3``, ``dorgqr``, ``dtrtrs``) with the arguments that
+``scipy.linalg`` passes them, and ``_lapack`` loads those wrappers without
+importing scipy.linalg, whose import costs a third of a second of CPU. It
+is the only code that loads scipy. The rank check and the inference stay
 in ``ols_fit``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -164,6 +171,47 @@ def build_design_matrix(
     return DesignMatrix(matrix=matrix, column_names=names, response=response)
 
 
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers, loaded from their file alone, so that
+    neither ``scipy/__init__.py`` nor ``scipy/linalg/__init__.py`` runs and
+    nothing enters ``sys.modules``; ``scipy.linalg.lapack``, whose routines
+    are the same wrappers, where that file is not found."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(os.path.dirname(scipy.origin), "linalg")]
+    )
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(spec.name, None)  # where a single-phase extension puts itself
+    return module
+
+
+def _call(routine, *args, **kwargs):
+    """A LAPACK wrapper's outputs, after the workspace query that scipy makes."""
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    *out, _, info = routine(*args, lwork=work[0].real.astype(np.int_), **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out
+
+
+def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(r, b)``: LAPACK reads ``r`` in
+    Fortran order, so a C-ordered ``r`` is solved as its transpose."""
+    r, b = np.asarray_chkfinite(r), np.asarray_chkfinite(b)
+    if r.flags.f_contiguous:
+        x, info = _lapack().dtrtrs(r, b, lower=False, trans=0)
+    else:
+        x, info = _lapack().dtrtrs(r.T, b, lower=True, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+    return x
+
+
 def _factor(X: np.ndarray, y: np.ndarray) -> tuple:
     """The linear algebra of ``ols_fit``: a pivoted QR of ``X``.
 
@@ -171,35 +219,34 @@ def _factor(X: np.ndarray, y: np.ndarray) -> tuple:
     column pivot and, when ``X`` has full column rank, the coefficients and
     the diagonal of ``(X'X)^-1``, both in column order. Below full rank
     the last two are None, and ``pivot[rank:]`` names dependent columns.
+    The LAPACK calls take the arguments that ``scipy.linalg.qr(X,
+    mode="economic", pivoting=True)`` and ``solve_triangular`` pass, so
+    the results are theirs bit for bit.
     """
-    # imported here so that only fitting pays for loading scipy
-    import scipy.linalg
-
     n, p = X.shape
-    q, r, pivot = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    qr, pivot, tau = _call(_lapack().dgeqp3, np.asarray_chkfinite(X), overwrite_a=False)
+    pivot -= 1  # LAPACK numbers columns from 1
+    r = np.triu(qr[:p, :])
     diag = np.abs(np.diag(r))
     tol = (diag[0] if diag.size else 0.0) * max(n, p) * np.finfo(float).eps
     rank = int(np.count_nonzero(diag > tol))
     if rank < p:
         return rank, pivot, None, None
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+    (q,) = _call(_lapack().dorgqr, qr, tau, overwrite_a=1)
+    r_inv = _solve_upper(r, np.eye(p))
     coef = np.empty(p)
-    coef[pivot] = scipy.linalg.solve_triangular(r, q.T @ y)
+    coef[pivot] = _solve_upper(r, q.T @ y)
     unit_var = np.empty(p)
     unit_var[pivot] = np.sum(r_inv * r_inv, axis=1)
     return rank, pivot, coef, unit_var
 
 
-def ols_fit(
-    design: DesignMatrix, *, confidence_level: float = 0.95, factor=None
-) -> RegressionFit:
+def ols_fit(design: DesignMatrix, *, confidence_level: float = 0.95) -> RegressionFit:
     """Least squares fit with t-based inference.
 
     Solves via pivoted QR, which tolerates the collinear indicator blocks
     better than explicit normal equations; rank deficiency is an error that
     names the dependent columns rather than a silent pseudo-inverse.
-    ``factor`` stands in for ``_factor`` (run in this process by default);
-    the rank check and all inference stay here.
     """
     X = design.matrix
     y = design.response
@@ -209,7 +256,7 @@ def ols_fit(
             f"need more rows than parameters, got {n} rows for {p} parameters"
         )
 
-    rank, pivot, coef, unit_var = (factor or _factor)(X, y)
+    rank, pivot, coef, unit_var = _factor(X, y)
     if rank < p:
         raise RankDeficiencyError(sorted(design.column_names[j] for j in pivot[rank:]))
 

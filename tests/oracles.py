@@ -2,7 +2,8 @@
 
 These deliberately take different routes: the index oracle compares every
 pair of summaries directly, the regression oracle solves the normal
-equations, and the tail-probability oracles integrate densities with
+equations (``scipy_factor`` instead pins the fit's bits to scipy.linalg's
+own QR), and the tail-probability oracles integrate densities with
 adaptive quadrature.
 """
 
@@ -194,6 +195,26 @@ def normal_equations_fit(X: np.ndarray, y: np.ndarray):
     sigma2 = rss / (n - p)
     se = np.sqrt(np.diag(np.linalg.inv(xtx)) * sigma2)
     return coef, se, rss
+
+
+def scipy_factor(X: np.ndarray, y: np.ndarray):
+    """``regression._factor`` through scipy.linalg's public routines: the
+    pivoted QR and triangular solves whose LAPACK calls it repeats."""
+    import scipy.linalg
+
+    n, p = X.shape
+    q, r, pivot = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = (diag[0] if diag.size else 0.0) * max(n, p) * np.finfo(float).eps
+    rank = int(np.count_nonzero(diag > tol))
+    if rank < p:
+        return rank, pivot, None, None
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+    coef = np.empty(p)
+    coef[pivot] = scipy.linalg.solve_triangular(r, q.T @ y)
+    unit_var = np.empty(p)
+    unit_var[pivot] = np.sum(r_inv * r_inv, axis=1)
+    return rank, pivot, coef, unit_var
 
 
 def t_two_sided_quad(t: float, df: float) -> float:

@@ -1,11 +1,11 @@
 import csv
 import dataclasses
-import errno
+import functools
+import importlib.machinery
 import json
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +229,17 @@ class TestRepeats:
         assert main([command, str(missing), "--min-count", "1", "--output-dir", str(out)]) == 1
         assert single_error_line(capsys.readouterr().err) == "error: --min-count must be >= 2, got 1"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--limit", "0"], ["--min-count", "1"]])
+    def test_usage_error_leaves_an_earlier_run_whole(self, tmp_path, capsys, flag):
+        path = self._toy(tmp_path)
+        out = tmp_path / "out"
+        assert main(["repeats", str(path), "--output-dir", str(out)]) == 0
+        earlier = dir_snapshot(out)
+        assert "run_manifest.json" in earlier
+        assert main(["repeats", str(path), *flag, "--output-dir", str(out)]) == 1
+        assert single_error_line(capsys.readouterr().err).startswith(f"error: {flag[0]} must be")
+        assert dir_snapshot(out) == earlier
 
     def test_with_ids_flag(self, tmp_path):
         path = self._toy(tmp_path)
@@ -808,21 +819,24 @@ class TestReportAll:
 
 
 # Runs the commands that do not fit, then regress, in one fresh interpreter,
-# and prints the scipy modules loaded after each phase. regress fits in a
-# forked helper, so no phase loads scipy into this process.
+# and prints after each phase the scipy modules imported and how many times
+# the LAPACK wrappers were loaded. The fit loads the wrappers' file alone, so
+# no phase imports a scipy module.
 SCIPY_CHILD = """
 import json, sys
 from repscope.cli import main
+from repscope.regression import _lapack
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+                  or m.endswith("_flapack"))
 
 corpora = sys.argv[1:]
 for argv in (["score", *corpora], ["repeats", corpora[0]], ["abstractiveness", corpora[0]]):
     assert main([*argv, "--output-dir", "out"]) == 0, argv
-print(json.dumps(scipy_modules()))
+print(json.dumps([scipy_modules(), _lapack.cache_info().currsize]))
 assert main(["regress", *corpora, "--output-dir", "out"]) == 0
-print(json.dumps(scipy_modules()))
+print(json.dumps([scipy_modules(), _lapack.cache_info().currsize]))
 """
 
 
@@ -846,8 +860,8 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         before_fit, after_fit = map(json.loads, proc.stdout.splitlines())
-        assert before_fit == [] and after_fit == []
-        # the helper's fit is the one ols_fit makes in process
+        assert before_fit == [[], 0] and after_fit == [[], 1]
+        # the child's fit is the one ols_fit makes here, where scipy.linalg is loaded
         config = AnalysisConfig()
         records, scores = [], []
         for path in fixture_corpora:
@@ -879,50 +893,51 @@ class TestStartup:
             assert threads == "1"
 
 
-class TwoArgumentError(Exception):
-    """Pickles, but unpickling calls it with one argument and fails."""
+class TestFitInProcess:
+    """regress and report-all fit in this process: no command forks, and a
+    fault of the fit reaches the caller as raised."""
 
-    def __init__(self, message, code):
-        super().__init__(f"{message} (code {code})")
+    @pytest.mark.parametrize("command", ["regress", "report-all"])
+    def test_no_child_process(self, fixture_corpora, tmp_path, monkeypatch, command):
+        out = tmp_path / "o"
+        assert main([command, *fixture_corpora, "--output-dir", str(out)]) == 0
+        normal = dir_snapshot(out)
 
+        def no_fork():
+            raise AssertionError("os.fork called")
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main([command, *fixture_corpora, "--output-dir", str(out)]) == 0
+        assert dir_snapshot(out) == normal
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
+    def test_without_the_wrapper_file_the_fit_imports_scipy_linalg(
+        self, fixture_corpora, tmp_path, monkeypatch
+    ):
+        import scipy.linalg.lapack
 
-class TestFitHelper:
-    """regress and report-all factor their designs in one forked helper,
-    which never outlives the run and whose faults reach the caller."""
+        out = tmp_path / "o"
+        assert main(["regress", *fixture_corpora, "--output-dir", str(out)]) == 0
+        normal = dir_snapshot(out)
+        find_spec = importlib.machinery.PathFinder.find_spec
 
-    def test_regress_success(self, fixture_corpora, tmp_path):
-        assert main(["regress", *fixture_corpora, "--output-dir", str(tmp_path / "o")]) == 0
-        assert_no_child_left()
+        def no_flapack(name, path=None, target=None):
+            return None if name == "_flapack" else find_spec(name, path, target)
 
-    def test_missing_second_corpus(self, fixture_corpora, tmp_path, capsys, monkeypatch):
-        statuses = []
-        waitpid = os.waitpid
-
-        def recording(pid, options):
-            statuses.append(waitpid(pid, options)[1])
-            return pid, statuses[-1]
-
-        monkeypatch.setattr(os, "waitpid", recording)
-        missing = str(tmp_path / "missing.jsonl")
-        argv = ["regress", fixture_corpora[0], missing, "--output-dir", str(tmp_path / "o")]
-        assert main(argv) == 1
-        assert "missing.jsonl" in single_error_line(capsys.readouterr().err)
-        # killed, not left to finish loading scipy and see its pipe close
-        (status,) = statuses
-        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-        assert_no_child_left()
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_flapack)
+        # a fresh cache, so that the loaded wrappers come back after the test
+        lapack = functools.cache(repscope.regression._lapack.__wrapped__)
+        monkeypatch.setattr(repscope.regression, "_lapack", lapack)
+        assert main(["regress", *fixture_corpora, "--output-dir", str(out)]) == 0
+        assert lapack() is scipy.linalg.lapack
+        assert dir_snapshot(out) == normal
 
     def test_rank_deficient_regress(self, tmp_path, capsys):
         path = write_uninhabited_interaction(tmp_path)
         assert main(["regress", str(path), "--output-dir", str(tmp_path / "o")]) == 2
         line = single_error_line(capsys.readouterr().err)
         assert line.startswith("error: design matrix is rank deficient") and "'XSum - XSum'" in line
-        assert_no_child_left()
 
     def test_rank_deficient_report_all(self, tmp_path):
         path = write_uninhabited_interaction(tmp_path)
@@ -931,75 +946,23 @@ class TestFitHelper:
         notes = json.loads((out / "run_manifest.json").read_text())["notes"]
         skipped = [n for n in notes if n.startswith("regression skipped: design matrix is rank")]
         assert len(skipped) == 1 and "'XSum - XSum'" in skipped[0], notes
-        assert_no_child_left()
 
-    def test_helper_fault_reaches_caller(self, fixture_corpora, tmp_path, monkeypatch):
-        def failing(X, y):
-            raise RuntimeError(f"factor failed in process {os.getpid()}")
+    def test_missing_second_corpus(self, fixture_corpora, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        argv = ["regress", fixture_corpora[0], missing, "--output-dir", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "missing.jsonl" in single_error_line(capsys.readouterr().err)
 
-        # the fork inherits the patch, so the helper raises it
-        monkeypatch.setattr(repscope.regression, "_factor", failing)
-        with pytest.raises(RuntimeError, match="factor failed in process") as info:
-            main(["regress", *fixture_corpora, "--output-dir", str(tmp_path / "o")])
-        assert str(os.getpid()) not in str(info.value)
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("kind", ["local_class", "two_argument_init"])
-    def test_fault_that_does_not_pickle_is_raised_in_process(
-        self, fixture_corpora, tmp_path, monkeypatch, kind
-    ):
-        class LocalError(Exception):  # pickles by name, which it lacks
+    def test_factor_fault_reaches_caller(self, fixture_corpora, tmp_path, monkeypatch):
+        class LocalError(Exception):
             pass
 
         def failing(X, y):
-            message = f"factor failed in process {os.getpid()}"
-            raise LocalError(message) if kind == "local_class" else TwoArgumentError(message, 1)
+            raise LocalError("factor failed")
 
-        error = LocalError if kind == "local_class" else TwoArgumentError
         monkeypatch.setattr(repscope.regression, "_factor", failing)
-        with pytest.raises(error, match=f"factor failed in process {os.getpid()}"):
+        with pytest.raises(LocalError, match="^factor failed$"):
             main(["regress", *fixture_corpora, "--output-dir", str(tmp_path / "o")])
-        assert_no_child_left()
-
-    def test_without_fork_the_fit_runs_in_process(self, fixture_corpora, tmp_path, monkeypatch):
-        out = tmp_path / "o"
-        assert main(["report-all", *fixture_corpora, "--output-dir", str(out)]) == 0
-        forked = dir_snapshot(out)
-        monkeypatch.delattr(os, "fork")
-        assert main(["report-all", *fixture_corpora, "--output-dir", str(out)]) == 0
-        assert dir_snapshot(out) == forked
-        assert_no_child_left()
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    def test_failed_second_pipe_leaks_no_descriptor(self, fixture_corpora, tmp_path, monkeypatch):
-        out = tmp_path / "o"
-        assert main(["regress", *fixture_corpora, "--output-dir", str(out)]) == 0
-        normal = dir_snapshot(out)
-        pipe = os.pipe
-        calls = []
-
-        def second_fails():
-            calls.append(None)
-            if len(calls) == 2:
-                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-            return pipe()
-
-        monkeypatch.setattr(os, "pipe", second_fails)
-        fds = sorted(os.listdir("/proc/self/fd"))
-        assert main(["regress", *fixture_corpora, "--output-dir", str(out)]) == 0
-        assert sorted(os.listdir("/proc/self/fd")) == fds
-        assert dir_snapshot(out) == normal
-        assert_no_child_left()
-
-    def test_helper_gone_before_the_fit(self, fixture_corpora, tmp_path, monkeypatch):
-        out = tmp_path / "o"
-        assert main(["report-all", *fixture_corpora, "--output-dir", str(out)]) == 0
-        normal = dir_snapshot(out)
-        # the fork inherits the patch, so the helper ends before it reads a request
-        monkeypatch.setattr(repscope.cli, "_serve_factor", lambda *fds: os._exit(0))
-        assert main(["report-all", *fixture_corpora, "--output-dir", str(out)]) == 0
-        assert dir_snapshot(out) == normal
-        assert_no_child_left()
 
 
 class TestFitMemory:

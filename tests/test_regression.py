@@ -1,10 +1,15 @@
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repscope.config import AnalysisConfig
+from repscope.corpus import load_corpus
 from repscope.errors import DegenerateDesignError, RankDeficiencyError
+from repscope.metrics import summary_repetition_score
+from repscope.ngrams import build_repetition_index
 from repscope.regression import (
     DesignMatrix,
     RegressionSpec,
@@ -14,7 +19,7 @@ from repscope.regression import (
     ols_fit,
 )
 
-from oracles import make_record, normal_equations_fit
+from oracles import make_record, normal_equations_fit, scipy_factor
 
 SPEC = RegressionSpec()
 
@@ -250,9 +255,55 @@ class TestOlsFit:
         assert shuffled_fit.p_values == pytest.approx(fit.p_values, abs=1e-10)
 
 
+def seeded_designs():
+    """(X, y) pairs the fit must factor as scipy.linalg does: C- and
+    Fortran-ordered, columns scaled from 1e-8 to 1e8, some with a dependent
+    column, p from 1 to 8 and n down to p + 1; one of 160 columns, wide
+    enough for LAPACK's blocked QR, whose bits depend on the workspace size;
+    then one-hot designs of random labels, some missing a label combination."""
+    rng = np.random.default_rng(71)
+    yield np.asfortranarray(rng.standard_normal((400, 160))), rng.standard_normal(400)
+    for i in range(240):
+        p = 1 + i % 8
+        n = p + 1 if i % 4 == 0 else p + int(rng.integers(2, 80))
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-8, 9, size=p)
+        if i % 5 == 0 and p >= 3:
+            X[:, -1] = X[:, 0] - 2.0 * X[:, 1]
+        yield (np.asfortranarray(X) if i % 3 == 0 else X), rng.standard_normal(n)
+    archs = ["Human", "BART", "T5"]
+    datasets = ["CNN/DailyMail", "XSum", "Reddit"]
+    for i in range(30):
+        records = []
+        for j in range(int(rng.integers(12, 90))):
+            arch = archs[int(rng.integers(3))]
+            train = None if arch == "Human" else datasets[int(rng.integers(3))]
+            records.append(make_record(
+                f"s{j}", ["w"] * int(rng.integers(3, 60)), architecture=arch,
+                train_dataset=train, test_dataset=datasets[int(rng.integers(3))],
+            ))
+        scores = rng.standard_normal(len(records))
+        for spec in (SPEC, replace(SPEC, include_interactions=False)):
+            try:
+                design = build_design_matrix(records, scores, spec)
+            except DegenerateDesignError:
+                continue
+            if design.n_rows > design.n_cols:
+                yield design.matrix, design.response
+
+
+def assert_same_factor(X, y):
+    ours, theirs = _factor(X, y), scipy_factor(X, y)
+    assert ours[0] == theirs[0]
+    for a, b in zip(ours[1:], theirs[1:]):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return ours[0] == X.shape[1]
+
+
 class TestFactor:
-    """``_factor``'s reply, which ``ols_fit`` and its stand-ins share: the
-    rank, the pivot and, at full rank only, the fit in column order."""
+    """``_factor``'s reply: the rank, the pivot and, at full rank only, the
+    fit in column order, each bit for bit what scipy.linalg gives."""
 
     def test_full_rank_reply_in_column_order(self):
         rng = np.random.default_rng(67)
@@ -279,6 +330,32 @@ class TestFactor:
         rank, pivot, coef, unit_var = _factor(design.matrix, design.response)
         assert rank < design.n_cols and (coef, unit_var) == (None, None)
         assert [design.column_names[j] for j in pivot[rank:]] == ["XSum - XSum"]
+
+    def test_bit_identical_to_scipy_linalg(self):
+        designs = list(seeded_designs())
+        full_rank = [assert_same_factor(X, y) for X, y in designs]
+        assert len(designs) >= 200 and 0 < sum(full_rank) < len(designs)
+        assert any(X.flags.f_contiguous and X.shape[1] > 1 for X, _ in designs)
+
+    def test_non_finite_input_raises_as_scipy_linalg(self):
+        X = np.column_stack([np.ones(5), np.arange(5.0)])
+        y = np.arange(5.0)
+        for bad_X, bad_y in ((X, np.where(y == 2.0, np.nan, y)), (np.where(X == 2.0, np.inf, X), y)):
+            for factor in (scipy_factor, _factor):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    factor(bad_X, bad_y)
+
+    def test_fixture_designs_bit_identical_to_scipy_linalg(self, fixture_corpora):
+        config = AnalysisConfig()
+        records, scores = [], []
+        for path in fixture_corpora:
+            corpus = load_corpus(path, config.tokenizer)
+            index = build_repetition_index(corpus, config.min_n)
+            records += corpus.records
+            scores += [summary_repetition_score(r, index).score for r in corpus.records]
+        for spec in (SPEC, replace(SPEC, include_interactions=False)):
+            design = build_design_matrix(records, scores, spec)
+            assert assert_same_factor(design.matrix, design.response)
 
 
 class TestLikelihoodRatio:
