@@ -169,8 +169,6 @@ def _load_corpora(paths: list[str], tokenizer: TokenizerConfig) -> list[Corpus]:
 
 
 def _score_corpus(corpus: Corpus, config: AnalysisConfig):
-    # Corpora are scored one at a time: scoring is pure Python, so threads
-    # would only contend for the GIL.
     index = build_repetition_index(corpus, config.min_n)
     summaries = [
         summary_repetition_score(rec, index, mode=config.eq1_mode) for rec in corpus.records

@@ -7,8 +7,10 @@ its windows lies, and the full set of summaries containing it, all as numpy
 arrays. Token tuples and id sets are made only for the rows read: the
 ``entries`` map on first access, or the rows ``top_repeats`` returns.
 Membership counts summaries, not occurrences: five copies inside one
-summary contribute a single id. The same window classes count the summary
-n-grams that occur in a record's own input (abstractiveness).
+summary contribute a single id. The index and the count of summary n-grams
+that occur in a record's own input (abstractiveness) read one kernel,
+_shared_levels, which keeps, length by length, the windows whose n-gram lies
+in two or more documents.
 """
 
 from __future__ import annotations
@@ -130,82 +132,57 @@ def _rank(key: np.ndarray) -> tuple[np.ndarray, int]:
     return cls, int(ranks[-1]) + 1 if ranks.size else 0
 
 
-def _shared_levels(
-    cls: np.ndarray, n_classes: int, doc: np.ndarray, n_docs: int,
-    tally_from: int | None = None, max_n: int = 0,
-) -> Iterator:
+def _shared_levels(cls: np.ndarray, n_classes: int, doc: np.ndarray, n_docs: int) -> Iterator:
     """Yield each window length n, from 1 up, at which two or more documents
-    hold a common window, as (n, pos, doc, cls, left, right, pairs, pair_cls,
-    doc_counts). pos, doc, cls, left and right hold, for every window of a
-    shared class in position order, its start in the flat array, its
-    document, its class and its halves' classes; the halves are None at
-    n = 1 and at n <= tally_from. From n = tally_from on, pairs holds every
-    distinct (class, document) pair as class * n_docs + document, ascending,
-    pair_cls its class, and doc_counts the number of documents of each
-    class; below tally_from, and without one, these three are None.
+    hold a common window, as (n, pos, doc, cls, n_classes). pos, doc and cls
+    hold, for every window of a shared class in position order, its start in
+    the flat array, its document and its class; the level's classes are
+    numbered below n_classes. A class is shared when its lowest and highest
+    documents differ.
 
     cls holds the level-1 class of each token, numbered densely from 0 to
     n_classes - 1 and equal exactly when two tokens are (the index passes
     its vocabulary ids as they are), and doc its document; both are int32.
     Classes are equal exactly when two windows spell the same tokens: the
     (n+1)-window at p gets the rank of the pair (class of the n-window at p,
-    class of the n-window at p + 1). Below tally_from a class is shared when
-    its lowest and highest documents differ, which needs no (class,
-    document) pairs; from tally_from on, when it has two such pairs.
-    Documents sharing a window share both its halves, so candidates at n+1
-    only start where two adjacent shared n-windows start in one document,
-    which keeps long corpora cheap. The scan stops at the first n with no
-    shared class, or after max_n when it is given. Each array is dropped as
-    soon as it has been read, so a caller should drop what it holds of one
-    level before asking for the next.
+    class of the n-window at p + 1), so classes run in the lexicographic
+    order of their level-1 classes. Documents sharing a window share both
+    its halves, so candidates at n+1 only start where two adjacent shared
+    n-windows start in one document, which keeps long corpora cheap. The
+    scan stops at the first n with no shared class; a caller that needs no
+    longer windows stops asking. Each array is dropped as soon as it has
+    been read, so a caller should drop what it holds of one level before
+    asking for the next.
     """
     # Classes are below the number of windows, so with fewer than 2**31
-    # windows and documents the int64 keys left * n_classes + right and
-    # class * n_docs + doc stay below 2**62.
+    # windows the int64 key left * n_classes + right stays below 2**62.
     pos = np.arange(cls.size, dtype=np.int32)
-    left = right = None
     n = 1
     while True:
-        tallied = tally_from is not None and n >= tally_from
-        if tallied:
-            pairs = _distinct(cls.astype(np.int64) * n_docs + doc)
-            pair_cls = pairs // n_docs
-            doc_counts = np.bincount(pair_cls, minlength=n_classes)
-            shared = doc_counts >= 2
-        else:
-            pairs = pair_cls = doc_counts = None
-            low = np.full(n_classes, n_docs, dtype=np.int32)
-            high = np.zeros(n_classes, dtype=np.int32)
-            np.minimum.at(low, cls, doc)
-            np.maximum.at(high, cls, doc)
-            shared = low < high
-            del low, high
-        keep = shared[cls]
-        del shared
+        low = np.full(n_classes, n_docs, dtype=np.int32)
+        high = np.zeros(n_classes, dtype=np.int32)
+        np.minimum.at(low, cls, doc)
+        np.maximum.at(high, cls, doc)
+        keep = (low < high)[cls]
+        del low, high
         pos, doc, cls = pos[keep], doc[keep], cls[keep]
-        if left is not None:
-            left, right = left[keep], right[keep]
         del keep
         if not cls.size:
             return
-        yield n, pos, doc, cls, left, right, pairs, pair_cls, doc_counts
-        del pairs, pair_cls, doc_counts
-        if n == max_n:
-            return
+        yield n, pos, doc, cls, n_classes
 
         # next candidates: adjacent shared windows within one document
         adjacent = (pos[1:] == pos[:-1] + 1) & (doc[1:] == doc[:-1])
         left = cls[:-1][adjacent]
         right = cls[1:][adjacent]
-        del cls
         pos = pos[:-1][adjacent]
         doc = doc[:-1][adjacent]
-        del adjacent
+        del cls, adjacent
         if not pos.size:
             return
+        # the int64 key is formed only once level n's arrays are dropped
         key = left.astype(np.int64) * n_classes + right
-        if not tallied:
-            left = right = None
+        del left, right
         cls, n_classes = _rank(key)
         del key
         n += 1
@@ -215,11 +192,13 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     """Index every n-gram (n >= min_n) present in two or more summaries.
 
     Windows are named by the exact classes of _shared_levels, one document
-    per summary. Lengths below min_n only prune candidates; the scan stops
-    at the first length with no repeats, which is safe because a repeated
-    (n+1)-gram implies both of its n-sub-grams repeat in the same summaries.
-    Each level's repeating classes become rows, taken from its arrays as
-    they are; Eq.1 is tallied in the same pass (see RepetitionIndex).
+    per summary, so every window it keeps lies in two or more summaries.
+    Lengths below min_n only prune candidates; the scan stops at the first
+    length with no repeats, which is safe because a repeated (n+1)-gram
+    implies both of its n-sub-grams repeat in the same summaries. From
+    min_n on, each level's kept windows give its (class, summary) pairs,
+    which become rows, and the Eq.1 terms are tallied in the same pass (see
+    RepetitionIndex).
     """
     if min_n < 1:
         raise ValueError(f"min_n must be >= 1, got {min_n}")
@@ -230,7 +209,7 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     ids, n_ids, doc, starts = _encode(documents)
     # the ids are dense and numbered in first-seen order, so they are the
     # level-1 classes as they are
-    levels = _shared_levels(ids, n_ids, doc, n_docs, tally_from=min_n)
+    levels = _shared_levels(ids, n_ids, doc, n_docs)
     del ids, doc
 
     # per level, the rows' n, window document and offset, count, and the
@@ -242,20 +221,25 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     m_covered = np.zeros(n_docs, dtype=np.int64)
     raw_covered = np.zeros(n_docs, dtype=np.int64)
     max_observed = 0
-    for n, pos, doc, cls, left, right, pairs, pair_cls, doc_counts in levels:
+    for n, pos, doc, cls, n_classes in levels:
         if n >= min_n:
             max_observed = n
-            repeats = doc_counts >= 2
-            in_repeat = repeats[pair_cls]
-            pair_doc = (pairs % n_docs)[in_repeat]
+            # every distinct (class, summary) pair, ascending; with fewer
+            # than 2**31 windows and summaries the key stays below 2**62
+            pairs = _distinct(cls.astype(np.int64) * n_docs + doc)
+            pair_doc = pairs % n_docs
+            pair_cls = pairs // n_docs
+            doc_counts = np.bincount(pair_cls, minlength=n_classes)
             np.add.at(m_all, pair_doc, 1)
-            np.add.at(raw_all, pair_doc, doc_counts[pair_cls[in_repeat]])
+            np.add.at(raw_all, pair_doc, doc_counts[pair_cls])
             if n > min_n:
                 # an (n-1)-type of a summary lies inside a longer repeating
                 # type of it exactly when it is a half of a repeating
-                # n-window there
+                # n-window there; both halves are kept (n-1)-windows, so
+                # they are neighbours among the previous level's windows
+                half = np.searchsorted(prev_pos, pos)
                 covered = _distinct(
-                    np.concatenate((left, right), dtype=np.int64) * n_docs
+                    np.concatenate((prev_cls[half], prev_cls[half + 1]), dtype=np.int64) * n_docs
                     + np.concatenate((doc, doc))
                 )
                 covered_doc = covered % n_docs
@@ -263,15 +247,17 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
                 np.add.at(raw_covered, covered_doc, prev_counts[covered // n_docs])
 
             # any window of a class spells its n-gram; take one per class
-            window = np.empty(doc_counts.size, dtype=np.int32)
+            window = np.empty(n_classes, dtype=np.int32)
             window[cls] = np.arange(cls.size, dtype=np.int32)
+            repeats = doc_counts >= 2
             first = window[repeats]
             first_doc = doc[first]
             parts.append((np.full(first.size, n), first_doc, pos[first] - starts[first_doc],
                           doc_counts[repeats], pair_doc))
-            prev_counts = doc_counts
-        # so the next level is built while this loop holds none of this one's windows
-        del pos, doc, cls, left, right, pairs, pair_cls, doc_counts
+            prev_pos, prev_cls, prev_counts = pos, cls, doc_counts
+        # so the next level is built while this loop holds only what the
+        # next level's tallies read of this one
+        del pos, doc, cls
 
     tallies = dict(
         zip(
@@ -304,19 +290,22 @@ def paired_window_matches(records: Sequence[SummaryRecord], max_n: int) -> dict[
     n-windows, over all the records, also occur in their own record's input.
     Record r's summary is document 2r and its input 2r + 1, and a token's
     class is the rank of its (id, r), so a class that two documents hold is
-    exactly an n-gram found in both the summary and the input of one record."""
+    exactly an n-gram found in both the summary and the input of one record.
+    The scan is left after max_n, so no longer level is built."""
     n_records = len(records)
     ids, _, doc, _ = _encode([seq.tokens for rec in records for seq in (rec.summary, rec.input)])
     key = ids.astype(np.int64) * n_records + doc // 2
     del ids
     cls, n_classes = _rank(key)
     del key
-    levels = _shared_levels(cls, n_classes, doc, 2 * n_records, max_n=max_n)
+    levels = _shared_levels(cls, n_classes, doc, 2 * n_records)
     del cls, doc
     matches = {}
-    for n, pos, doc, *rest in levels:
+    for n, pos, doc, cls, _ in levels:
         matches[n] = int(np.count_nonzero(doc % 2 == 0))
-        del pos, doc, rest
+        del pos, doc, cls
+        if n == max_n:
+            break
     return matches
 
 

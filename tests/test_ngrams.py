@@ -7,7 +7,7 @@ import pytest
 from repscope import ngrams
 from repscope.errors import EmptyCorpusError
 from repscope.corpus import Corpus, tokenize
-from repscope.metrics import summary_repetition_score
+from repscope.metrics import abstractiveness_rows, summary_repetition_score
 from repscope.ngrams import (
     build_repetition_index,
     index_export_lines,
@@ -117,7 +117,7 @@ class TestBuildIndex:
         finally:
             tracemalloc.stop()
         assert index.max_observed_n == 10
-        assert peak / tokens < 80
+        assert peak / tokens < 40
 
 
 class TestTopRepeats:
@@ -266,6 +266,35 @@ class TestIndexProperties:
             index = build_repetition_index(corpus)
             assert all(len(ids) >= 2 for ids in index.entries.values())
 
+    @pytest.mark.parametrize("min_n", range(1, 6))
+    def test_row_layout(self, min_n):
+        # rows run by n, then by the lexicographic order of their tokens'
+        # first-seen ids; each row's pair_docs slice is its summaries'
+        # document numbers, strictly ascending
+        rng = np.random.default_rng(40 + min_n)
+        for _ in range(80):
+            corpus = random_corpus(rng, max_summaries=25, max_len=20, vocab_lo=2, vocab_hi=6)
+            index = build_repetition_index(corpus, min_n=min_n)
+            oracle_entries, _ = pairwise_index_oracle(corpus, min_n)
+            arrays = (index.row_n, index.row_doc, index.row_offset, index.row_count, index.pair_docs)
+            assert [a.dtype for a in arrays] == [np.dtype(np.int64)] * 5
+            assert index.pair_docs.size == index.row_count.sum()
+            first_seen: dict[str, int] = {}
+            for tokens in index.documents:
+                for token in tokens:
+                    first_seen.setdefault(token, len(first_seen))
+            doc_of = {rid: d for d, rid in enumerate(index.summary_ids)}
+            ends = np.cumsum(index.row_count).tolist()
+            keys = []
+            for n, d, off, size, end in zip(*(a.tolist() for a in arrays[:4]), ends):
+                gram = index.documents[d][off : off + n]
+                assert len(gram) == n
+                docs = index.pair_docs[end - size : end].tolist()
+                assert docs == sorted({doc_of[rid] for rid in oracle_entries[gram]})
+                keys.append((n, tuple(first_seen[token] for token in gram)))
+            assert len(set(keys)) == len(keys) == len(oracle_entries)
+            assert keys == sorted(keys)
+
 
 class TestAdversarialCorpora:
     """Worst cases and document-boundary cases, checked against the
@@ -335,3 +364,74 @@ class TestAdversarialCorpora:
         for min_n in (1, 2, 4):
             index = self._check(corpus, min_n)
             assert index.entries[tuple("abcd")] == frozenset({"s2", "s3"})
+
+
+class TestSharedLevels:
+    """The window-class kernel against brute force over every window."""
+
+    @staticmethod
+    def _levels(docs):
+        # level-1 classes are a random dense numbering of the vocabulary
+        rng = np.random.default_rng(len(docs))
+        vocab = sorted({t for tokens in docs for t in tokens})
+        label = dict(zip(vocab, rng.permutation(len(vocab)).tolist()))
+        flat = [t for tokens in docs for t in tokens]
+        cls = np.array([label[t] for t in flat], dtype=np.int32)
+        doc = np.repeat(np.arange(len(docs), dtype=np.int32), [len(t) for t in docs])
+        levels = [
+            (n, pos.tolist(), doc_.tolist(), cls_.tolist(), n_classes)
+            for n, pos, doc_, cls_, n_classes in ngrams._shared_levels(cls, len(vocab), doc, len(docs))
+        ]
+        return levels, flat, doc.tolist(), label
+
+    @staticmethod
+    def _shared_windows(flat, doc, n):
+        """(start, n-gram) of every window held by two or more documents."""
+        windows = [
+            (p, tuple(flat[p : p + n])) for p in range(len(flat) - n + 1) if doc[p] == doc[p + n - 1]
+        ]
+        holders: dict[tuple, set[int]] = {}
+        for p, gram in windows:
+            holders.setdefault(gram, set()).add(doc[p])
+        return [(p, gram) for p, gram in windows if len(holders[gram]) >= 2]
+
+    def test_levels_equal_brute_force(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            docs = [
+                [f"w{v}" for v in rng.integers(0, int(rng.integers(1, 6)), size=rng.integers(0, 16))]
+                for _ in range(int(rng.integers(1, 10)))
+            ]
+            levels, flat, doc, label = self._levels(docs)
+            assert [n for n, *_ in levels] == list(range(1, len(levels) + 1))
+            for n, pos, doc_n, cls, n_classes in levels:
+                shared = self._shared_windows(flat, doc, n)
+                assert pos == [p for p, _ in shared]
+                assert doc_n == [doc[p] for p in pos]
+                assert max(cls) < n_classes
+                # classes are equal exactly when n-grams are, and run in the
+                # lexicographic order of the level-1 classes
+                spelled = [tuple(label[t] for t in gram) for _, gram in shared]
+                assert len(set(zip(cls, spelled))) == len(set(cls)) == len(set(spelled))
+                assert [c for _, c in sorted(zip(spelled, cls))] == sorted(cls)
+            # the scan stops at the first length with no shared window
+            assert not self._shared_windows(flat, doc, len(levels) + 1)
+
+    def test_paired_scan_builds_no_level_past_the_longest_n(self, monkeypatch):
+        records = tuple(
+            make_record(f"s{i}", list("abcdef"), input_tokens=list("xabcdefy")) for i in range(3)
+        )
+        corpus = Corpus(records=records, name="paired")
+        calls = []
+
+        def counted_rank(key):
+            calls.append(key.size)
+            return rank(key)
+
+        rank = ngrams._rank
+        monkeypatch.setattr(ngrams, "_rank", counted_rank)
+        for ns, ranks in (((1,), 1), ((1, 2), 2), ((3, 1), 3)):
+            calls.clear()
+            assert all(row.percent_novel == 0.0 for row in abstractiveness_rows(corpus, ns))
+            # one rank names the level-1 classes, and one each longer level
+            assert len(calls) == ranks
