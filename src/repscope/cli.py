@@ -7,11 +7,12 @@ the manifest last, so a run that fails leaves the earlier reports whole and
 no manifest; a usage error exits before the old manifest is removed.
 Reports are deterministic: rerunning a command on identical inputs with an
 identical config reproduces every file byte for byte. ``score``,
-``regress`` and ``report-all`` share one step that loads and scores the
-corpora (``_scored``). ``regress`` and ``report-all`` then pool the scores
-of every corpus into one regression, fitted in this process: only that fit
-loads scipy's LAPACK wrappers (``regression._factor``), and no command
-forks.
+``regress`` and ``report-all`` share one loop (``_each_corpus``) that takes
+the corpora one at a time: it loads, indexes and scores each one, writes its
+own reports, and keeps only what the cross-corpus reports read before the
+next load. ``regress`` and ``report-all`` then fit the pooled scores on each
+record's labels in one regression, in this process: only that fit loads
+scipy's LAPACK wrappers (``regression._factor``), and no command forks.
 
 Exit codes: 0 success, 1 input error, 2 analysis error.
 """
@@ -24,10 +25,11 @@ import stat
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .config import OUTPUT_FORMATS, AnalysisConfig, load_config
-from .corpus import Corpus, TokenizerConfig, load_corpus
+from .corpus import Corpus, load_corpus
 from .errors import AnalysisError, InputError, MissingPairedInputError
 from .metrics import (
     SCORE_MODES,
@@ -148,40 +150,52 @@ def _replace_given(obj, **changes):
     return replace(obj, **{k: v for k, v in changes.items() if v is not None})
 
 
-def _load_corpora(paths: list[str], tokenizer: TokenizerConfig) -> list[Corpus]:
-    corpora: list[Corpus] = []
-    failures: list[str] = []
-    for path in paths:
+class _Labels(NamedTuple):
+    """What the fit reads of one record: ``build_design_matrix`` reads only
+    these four attributes."""
+
+    architecture: str
+    train_dataset: str | None
+    test_dataset: str
+    length_tokens: int
+
+
+def _each_corpus(run: _Run, reports_of=None):
+    """Load, index and score each corpus in turn, hand it, its index and its
+    summary scores to ``reports_of``, and return what the cross-corpus reports
+    read: the dataset scores, the (name, length statistics) pairs, and one
+    label row and one score per record. Every corpus that fails to load is
+    named in one ``InputError``; duplicate names are refused after the last
+    load."""
+    datasets, lengths, labels, scores, failures, names = [], [], [], [], [], []
+    for path in run.corpora:
         try:
-            corpora.append(load_corpus(path, tokenizer))
+            corpus = load_corpus(path, run.config.tokenizer)
         except InputError as exc:
             failures.append(str(exc))
+            continue
+        names.append(corpus.name)
+        if not failures:  # after a failure the rest load only to name theirs
+            index = build_repetition_index(corpus, run.config.min_n)
+            summaries = [summary_repetition_score(rec, index, mode=run.config.eq1_mode)
+                         for rec in corpus.records]
+            datasets.append(dataset_repetition_score(corpus, index))
+            lengths.append((corpus.name, length_statistics(corpus)))
+            labels += [_Labels(r.architecture, r.train_dataset, r.test_dataset, r.length_tokens)
+                       for r in corpus.records]
+            scores += [s.score for s in summaries]
+            if reports_of is not None:
+                reports_of(corpus, index, summaries)
+        corpus = index = summaries = None  # or they stay alive through the next load
     if failures:
         raise InputError("\n".join(failures))
-    names = [c.name for c in corpora]
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
         raise InputError(
             "corpus files must have distinct names, duplicated: "
             + ", ".join(repr(d) for d in dupes)
         )
-    return corpora
-
-
-def _score_corpus(corpus: Corpus, config: AnalysisConfig):
-    index = build_repetition_index(corpus, config.min_n)
-    summaries = [
-        summary_repetition_score(rec, index, mode=config.eq1_mode) for rec in corpus.records
-    ]
-    dataset = dataset_repetition_score(corpus, index)
-    return index, summaries, dataset
-
-
-def _scored(run: _Run, args: argparse.Namespace):
-    """The corpora, loaded, and each one's index, summary scores and
-    dataset score."""
-    corpora = _load_corpora(args.corpora, run.config.tokenizer)
-    return corpora, [_score_corpus(c, run.config) for c in corpora]
+    return datasets, lengths, labels, scores
 
 
 def _stat(path) -> os.stat_result | None:
@@ -260,7 +274,6 @@ class _Run:
 
     def note(self, message: str) -> None:
         self.notes.append(message)
-        print(f"note: {message}", file=sys.stderr)
 
     def _encode(self, name: str, text: str) -> bytes:
         try:
@@ -272,11 +285,13 @@ class _Run:
             ) from exc
 
     def finish(self) -> None:
-        """Encode every report and the manifest, and check each one's final
-        and hidden staging path, before the directory is made: a path that
-        is an input or a directory is refused. Then stage each report and
-        rename each into place, the manifest last. So a failed run leaves
-        the earlier reports as they were and no manifest."""
+        """Print the notes. Encode every report and the manifest, and check
+        each one's final and hidden staging path, before the directory is
+        made: a path that is an input or a directory is refused. Then stage
+        each report and rename each into place, the manifest last. So a
+        failed run leaves the earlier reports as they were and no manifest."""
+        for message in self.notes:
+            print(f"note: {message}", file=sys.stderr)
         data = {name: self._encode(name, text) for name, text in self.files.items()}
         config_dict = self.config.to_dict()
         config_json = self._encode(MANIFEST, reports.canonical_json(config_dict))
@@ -313,16 +328,17 @@ class _Run:
             raise InputError(f"{path}: cannot write report: {exc.strerror or exc}") from exc
 
 
-def _emit_scores(run: _Run, corpora: list[Corpus], scored) -> None:
+def _emit_scores(run: _Run, datasets, lengths) -> None:
     run.emit(
-        "dataset_scores", [dataset for (_, _, dataset) in scored],
+        "dataset_scores", datasets,
         csv=reports.dataset_scores_csv, markdown=reports.dataset_scores_markdown,
         json=reports.dataset_scores_json,
     )
-    rows = [(corpus.name, length_statistics(corpus)) for corpus in corpora]
-    run.emit("summary_lengths", rows, csv=reports.lengths_csv, markdown=reports.lengths_markdown)
-    for corpus, (_, summaries, _) in zip(corpora, scored):
-        run.write(f"summary_scores_{corpus.name}.csv", reports.summary_scores_csv(summaries))
+    run.emit("summary_lengths", lengths, csv=reports.lengths_csv, markdown=reports.lengths_markdown)
+
+
+def _emit_summary_scores(run: _Run, corpus: Corpus, summaries) -> None:
+    run.write(f"summary_scores_{corpus.name}.csv", reports.summary_scores_csv(summaries))
 
 
 def _emit_repeats(
@@ -347,24 +363,19 @@ def _emit_abstractiveness(run: _Run, corpus: Corpus, *, suffix: str = "") -> Non
     )
 
 
-def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
-    """Fit the scores of every corpus pooled and, when interactions are on,
-    compare the fit with the nested one without them by the LR test."""
-    records = []
-    scores = []
-    for corpus, (_, summaries, _) in zip(corpora, scored):
-        records.extend(corpus.records)
-        scores.extend(s.score for s in summaries)
+def _emit_regression(run: _Run, labels: list[_Labels], scores: list[float]) -> None:
+    """Fit the pooled scores on each record's labels and, when interactions
+    are on, compare the fit with the nested one without them by the LR test."""
     spec = run.config.regression
     # the nested design's columns are a subset of this one's, so building it
     # after the full fit raises no error that this build would not raise first
-    design = build_design_matrix(records, scores, spec)
+    design = build_design_matrix(labels, scores, spec)
     fit = ols_fit(design, confidence_level=spec.confidence_level)
     run.emit("regression_coefficients", fit, csv=reports.fit_csv, markdown=reports.fit_markdown)
     columns = {"columns": list(design.column_names), "nested_columns": None}
 
     if spec.include_interactions:
-        nested = build_design_matrix(records, scores, replace(spec, include_interactions=False))
+        nested = build_design_matrix(labels, scores, replace(spec, include_interactions=False))
         if set(nested.column_names) == set(design.column_names):
             run.note(
                 "no train x test interaction columns in the design; LR test skipped"
@@ -385,34 +396,37 @@ def _emit_regression(run: _Run, corpora: list[Corpus], scored) -> None:
 # Report bodies: each loads the corpora and writes its reports into ``run``;
 # ``main`` publishes them.
 def cmd_score(run: _Run, args: argparse.Namespace) -> None:
-    _emit_scores(run, *_scored(run, args))
+    datasets, lengths, _, _ = _each_corpus(run, lambda c, i, s: _emit_summary_scores(run, c, s))
+    _emit_scores(run, datasets, lengths)
 
 
 def cmd_repeats(run: _Run, args: argparse.Namespace) -> None:
-    (corpus,) = _load_corpora(args.corpora, run.config.tokenizer)
+    corpus = load_corpus(args.corpora[0], run.config.tokenizer)
     _emit_repeats(run, corpus, build_repetition_index(corpus, run.config.min_n), args)
 
 
 def cmd_abstractiveness(run: _Run, args: argparse.Namespace) -> None:
-    (corpus,) = _load_corpora(args.corpora, run.config.tokenizer)
-    _emit_abstractiveness(run, corpus)
+    _emit_abstractiveness(run, load_corpus(args.corpora[0], run.config.tokenizer))
 
 
 def cmd_regress(run: _Run, args: argparse.Namespace) -> None:
-    _emit_regression(run, *_scored(run, args))
+    _, _, labels, scores = _each_corpus(run)
+    _emit_regression(run, labels, scores)
 
 
 def cmd_report_all(run: _Run, args: argparse.Namespace) -> None:
-    corpora, scored = _scored(run, args)
-    _emit_scores(run, corpora, scored)
-    for corpus, (index, _, _) in zip(corpora, scored):
+    def reports_of(corpus: Corpus, index, summaries) -> None:
+        _emit_summary_scores(run, corpus, summaries)
         _emit_repeats(run, corpus, index, args, suffix=f"_{corpus.name}")
         try:
             _emit_abstractiveness(run, corpus, suffix=f"_{corpus.name}")
         except MissingPairedInputError:
             run.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
+
+    datasets, lengths, labels, scores = _each_corpus(run, reports_of)
+    _emit_scores(run, datasets, lengths)
     try:
-        _emit_regression(run, corpora, scored)
+        _emit_regression(run, labels, scores)
     except AnalysisError as exc:
         run.note(f"regression skipped: {exc}")
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import gc
 import importlib.machinery
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -181,10 +183,13 @@ class TestScore:
         lines = [{"id": "s1", "summary": "a", "architecture": "A", "test_dataset": "d"}]
         write_jsonl(a / "same.jsonl", lines)
         write_jsonl(b / "same.jsonl", lines)
-        code = main(["score", str(a / "same.jsonl"), str(b / "same.jsonl"),
-                     "--output-dir", str(tmp_path / "o")])
-        assert code == 1
-        assert "distinct names" in capsys.readouterr().err
+        # report-all would note that the first one lacks paired inputs
+        for command in ("score", "report-all"):
+            code = main([command, str(a / "same.jsonl"), str(b / "same.jsonl"),
+                         "--output-dir", str(tmp_path / "o")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "distinct names" in single_error_line(err) and "note:" not in err
 
 
 class TestRepeats:
@@ -737,6 +742,36 @@ class TestPublishing:
 
 
 class TestReportAll:
+    def test_load_failure_after_a_noted_corpus_prints_only_the_error(self, tmp_path, capsys):
+        noinput = write_jsonl(tmp_path / "noinput.jsonl", [
+            {"id": f"s{i}", "summary": "a b c d e f", "architecture": "Human",
+             "test_dataset": "d"} for i in (1, 2)
+        ])
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("{broken\n")
+        out = tmp_path / "out"
+        assert main(["report-all", str(noinput), str(broken), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "broken.jsonl:1" in single_error_line(err) and "note:" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["regress", "report-all"])
+    def test_first_and_third_failures_named_in_order(self, fixture_corpora, tmp_path, capsys,
+                                                     monkeypatch, command):
+        def no_index(*args):
+            raise AssertionError("a corpus was indexed after a load failed")
+
+        monkeypatch.setattr(repscope.cli, "build_repetition_index", no_index)
+        missing = tmp_path / "missing.jsonl"
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("{broken\n")
+        argv = [command, str(missing), fixture_corpora[0], str(broken)]
+        assert main([*argv, "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: cannot open")
+        assert err.index("missing.jsonl") < err.index("broken.jsonl:1")
+        assert err.count("error:") == 1 and "note:" not in err
+
     def test_produces_every_report_family(self, fixture_corpora, tmp_path):
         out = tmp_path / "out"
         assert main(["report-all", *fixture_corpora, "--output-dir", str(out)]) == 0
@@ -966,8 +1001,30 @@ class TestFitInProcess:
 
 
 class TestFitMemory:
-    """Each corpus is loaded and indexed once, and report-all reads the index
-    only through the rows it prints."""
+    """Each corpus is loaded and indexed once, one corpus is held at a time,
+    and report-all reads the index only through the rows it prints."""
+
+    @pytest.mark.parametrize("command", ["score", "regress", "report-all"])
+    def test_one_corpus_held_at_a_time(self, fixture_corpora, tmp_path, monkeypatch, command):
+        made = {"load_corpus": [], "build_repetition_index": []}
+        alive_at_load = []
+
+        def weakly_kept(name, fn):
+            def wrapped(*args, **kwargs):
+                if name == "load_corpus":
+                    gc.collect()
+                    alive_at_load.append([sum(ref() is not None for ref in refs)
+                                          for refs in made.values()])
+                result = fn(*args, **kwargs)
+                made[name].append(weakref.ref(result))
+                return result
+            return wrapped
+
+        for name in made:
+            monkeypatch.setattr(repscope.cli, name, weakly_kept(name, getattr(repscope.cli, name)))
+        assert main([command, *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
+        # the earlier corpora and indexes alive when each corpus is loaded
+        assert alive_at_load == [[0, 0]] * len(fixture_corpora)
 
     def test_report_all_never_builds_entries(self, fixture_corpora, tmp_path, monkeypatch):
         indexes = []
@@ -998,5 +1055,5 @@ class TestFitMemory:
             monkeypatch.setattr(repscope.cli, name, counted(name, getattr(repscope.cli, name)))
         assert main([command, *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
         n = len(fixture_corpora)
-        # the full and the nested fit
-        assert calls == ["load_corpus"] * n + ["build_repetition_index"] * n + ["ols_fit"] * 2
+        # each corpus is indexed before the next one loads; the full and the nested fit
+        assert calls == ["load_corpus", "build_repetition_index"] * n + ["ols_fit"] * 2
