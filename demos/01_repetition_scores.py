@@ -12,6 +12,7 @@ from repscope import (
     Corpus,
     SummaryRecord,
     TokenizerConfig,
+    Vocabulary,
     build_repetition_index,
     dataset_repetition_score,
     summary_repetition_score,
@@ -19,6 +20,7 @@ from repscope import (
 )
 
 config = TokenizerConfig()  # case folding on, punctuation split off tokens
+vocab = Vocabulary()  # the records of one corpus number their tokens in one vocabulary
 
 texts = {
     "sys1": "Sign up for our free daily sports briefing. Stoke sign a defender.",
@@ -31,7 +33,7 @@ records = tuple(
     SummaryRecord(
         id=rid,
         text=text,
-        summary=tokenize(text, config),
+        summary=tokenize(text, config, vocab=vocab),
         architecture="DemoSystem",
         train_dataset="news",
         test_dataset="news",

@@ -11,9 +11,10 @@ import numpy as np
 from repscope import (
     Corpus,
     SummaryRecord,
-    TokenSequence,
+    Vocabulary,
     build_repetition_index,
     index_export_lines,
+    tokenize,
     top_repeats,
 )
 
@@ -35,16 +36,18 @@ stock_phrases = [
 ]
 
 records = []
+vocab = Vocabulary()  # the records of one corpus number their tokens in one vocabulary
 for i in range(2000):
     tokens = [f"word{v}" for v in rng.integers(0, 8000, size=rng.integers(15, 40))]
     if rng.random() < 0.6:
         phrase = stock_phrases[rng.integers(0, len(stock_phrases))].split()
         pos = rng.integers(0, len(tokens) - len(phrase) + 1)
         tokens[pos : pos + len(phrase)] = phrase
+    text = " ".join(tokens)
     records.append(
-        SummaryRecord(id=f"s{i}", text=" ".join(tokens),
-                      summary=TokenSequence(tokens=tuple(tokens)), architecture="DemoSystem",
-                      train_dataset="synthetic", test_dataset="synthetic")
+        SummaryRecord(id=f"s{i}", text=text, summary=tokenize(text, vocab=vocab),
+                      architecture="DemoSystem", train_dataset="synthetic",
+                      test_dataset="synthetic")
     )
 
 corpus = Corpus(records=tuple(records), name="formulaic-demo")

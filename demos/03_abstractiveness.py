@@ -9,12 +9,14 @@ from repscope import (
     Corpus,
     SummaryRecord,
     TokenizerConfig,
+    Vocabulary,
     abstractiveness_rows,
     length_statistics,
     tokenize,
 )
 
 config = TokenizerConfig()
+vocab = Vocabulary()  # shared by every summary and input of the corpus
 
 pairs = [
     # near-extractive: the summary lifts a span from the input
@@ -37,8 +39,8 @@ records = tuple(
     SummaryRecord(
         id=rid,
         text=summary,
-        summary=tokenize(summary, config),
-        input=tokenize(document, config),
+        summary=tokenize(summary, config, vocab=vocab),
+        input=tokenize(document, config, vocab=vocab),
         architecture="Human",
         test_dataset="demo",
     )

@@ -14,12 +14,13 @@ from repscope import (
     Corpus,
     RegressionSpec,
     SummaryRecord,
-    TokenSequence,
+    Vocabulary,
     build_design_matrix,
     build_repetition_index,
     likelihood_ratio_test,
     ols_fit,
     summary_repetition_score,
+    tokenize,
 )
 
 rng = np.random.default_rng(7)
@@ -29,6 +30,7 @@ DATASETS = ("news", "papers")
 STOCK = "officials said the matter remains under review".split()
 
 records = []
+vocab = Vocabulary()  # the records of one corpus number their tokens in one vocabulary
 for i in range(4000):
     arch = ARCHS[rng.integers(0, 2)]
     test = DATASETS[rng.integers(0, 2)]
@@ -41,10 +43,10 @@ for i in range(4000):
         if rng.random() < echo_prob:
             pos = int(rng.integers(0, length - len(STOCK) + 1))
             tokens[pos : pos + len(STOCK)] = STOCK
+    text = " ".join(tokens)
     records.append(
-        SummaryRecord(id=f"s{i}", text=" ".join(tokens),
-                      summary=TokenSequence(tokens=tuple(tokens)), architecture=arch,
-                      train_dataset=train, test_dataset=test)
+        SummaryRecord(id=f"s{i}", text=text, summary=tokenize(text, vocab=vocab),
+                      architecture=arch, train_dataset=train, test_dataset=test)
     )
 
 corpus = Corpus(records=tuple(records), name="simulated")

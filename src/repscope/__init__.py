@@ -19,6 +19,7 @@ from .corpus import (
     SummaryRecord,
     TokenizerConfig,
     TokenSequence,
+    Vocabulary,
     load_corpus,
     tokenize,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "SummaryRepetitionScore",
     "TokenSequence",
     "TokenizerConfig",
+    "Vocabulary",
     "abstractiveness_rows",
     "build_design_matrix",
     "build_repetition_index",

@@ -285,13 +285,11 @@ class _Run:
             ) from exc
 
     def finish(self) -> None:
-        """Print the notes. Encode every report and the manifest, and check
-        each one's final and hidden staging path, before the directory is
-        made: a path that is an input or a directory is refused. Then stage
-        each report and rename each into place, the manifest last. So a
-        failed run leaves the earlier reports as they were and no manifest."""
-        for message in self.notes:
-            print(f"note: {message}", file=sys.stderr)
+        """Encode every report and the manifest, and check each one's final
+        and hidden staging path, before the directory is made: a path that is
+        an input or a directory is refused. Then stage each report, rename
+        each into place, the manifest last, and print the notes. So a failed
+        run prints no note and leaves the earlier reports and no manifest."""
         data = {name: self._encode(name, text) for name, text in self.files.items()}
         config_dict = self.config.to_dict()
         config_json = self._encode(MANIFEST, reports.canonical_json(config_dict))
@@ -326,6 +324,8 @@ class _Run:
             for tmp in staged:
                 tmp.unlink(missing_ok=True)
             raise InputError(f"{path}: cannot write report: {exc.strerror or exc}") from exc
+        for message in self.notes:
+            print(f"note: {message}", file=sys.stderr)
 
 
 def _emit_scores(run: _Run, datasets, lengths) -> None:

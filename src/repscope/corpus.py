@@ -1,20 +1,23 @@
 """Corpus ingestion: JSON-Lines loading and whitespace tokenization.
 
 A corpus is an ordered collection of summary records, each tokenized once
-under a single tokenizer configuration. All downstream analyses (n-gram
-indexing, repetition scores, abstractiveness, regression) operate on the
-tokens. A record keeps one raw string, its summary as written, for the
-reports that quote it; a paired input keeps only its tokens.
+under a single tokenizer configuration. Its summaries and inputs share one
+vocabulary, which numbers each token as an int32 id in first-seen order as
+the file is read; the index, the scores and abstractiveness read those ids
+as they are. A record keeps one raw string, its summary as written, for the
+reports that quote it; a paired input keeps only its ids.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 import unicodedata
+from array import array
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
+from typing import Iterator
 
 from .errors import CorpusLoadError, EmptyCorpusError, InputError
 
@@ -43,25 +46,56 @@ class TokenizerConfig:
             )
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """A normalized token stream; it holds no copy of the text it came from."""
+class Vocabulary(dict):
+    """Each token of one corpus -> its id, numbered from 0 in first-seen order
+    as tokens are looked up; ``tokens[i]`` spells id i. ``units`` caches, per
+    punctuation mode (attached, split), the ids of each whitespace unit met."""
 
-    tokens: tuple[str, ...]
+    def __init__(self) -> None:
+        self.tokens: list[str] = []
+        self.units: tuple[dict[str, tuple[int, ...]], ...] = ({}, {})
+
+    def __missing__(self, token: str) -> int:
+        self[token] = len(self.tokens)
+        self.tokens.append(token)
+        return self[token]
+
+
+@dataclass(frozen=True, slots=True)
+class TokenSequence:
+    """A normalized token stream as int32 ids (an array of C ints) in
+    ``vocab``; the text it came from is not kept. Iterating and slicing spell
+    tokens."""
+
+    ids: array
+    vocab: Vocabulary
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.vocab.tokens.__getitem__, self.ids)
+
+    def __getitem__(self, window: slice) -> tuple[str, ...]:
+        return tuple(map(self.vocab.tokens.__getitem__, self.ids[window]))
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(self)
 
 
-def _is_punctuation(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+@cache  # one entry per character met
+def _punctuation(ch: str) -> bool:
+    return unicodedata.category(ch)[0] == "P"
 
 
 def _split_unit(unit: str) -> list[str]:
+    if not (_punctuation(unit[0]) or _punctuation(unit[-1])):
+        return [unit]
     start, end = 0, len(unit)
-    while start < end and _is_punctuation(unit[start]):
+    while start < end and _punctuation(unit[start]):
         start += 1
-    while end > start and _is_punctuation(unit[end - 1]):
+    while end > start and _punctuation(unit[end - 1]):
         end -= 1
     parts = list(unit[:start])
     if start < end:
@@ -71,35 +105,31 @@ def _split_unit(unit: str) -> list[str]:
 
 
 def tokenize(
-    raw_text: str,
-    config: TokenizerConfig | None = None,
-    *,
-    memo: dict[str, tuple[str, ...]] | None = None,
+    raw_text: str, config: TokenizerConfig | None = None, *, vocab: Vocabulary | None = None
 ) -> TokenSequence:
-    """The tokens of ``raw_text`` under ``config``; the text itself is not kept.
+    """The tokens of ``raw_text`` under ``config``, as ids in ``vocab``; the
+    text itself is not kept.
 
     Whitespace-delimited units, optionally case folded, optionally with
     leading/trailing punctuation split into separate tokens. Total function:
-    empty text yields an empty sequence. ``memo`` is a cache from each
-    (case-folded) whitespace unit to its tokens, shared by the texts that
-    pass the same dict under one config, so a recurring unit is split and
-    interned once; it never changes the tokens.
+    empty text yields an empty sequence. Texts analysed together share one
+    ``vocab`` (a new one when none is given), whose unit memo never changes
+    the tokens.
     """
     if config is None:
         config = TokenizerConfig()
-    if memo is None:
-        memo = {}
+    if vocab is None:
+        vocab = Vocabulary()
     text = raw_text.lower() if config.case_fold else raw_text
     split = config.punctuation_mode == "split"
-    tokens: list[str] = []
+    memo = vocab.units[split]
+    ids: list[int] = []
     for unit in text.split():
         parts = memo.get(unit)
         if parts is None:
-            # interning dedups token storage across a large corpus
-            parts = tuple(map(sys.intern, _split_unit(unit) if split else (unit,)))
-            memo[unit] = parts
-        tokens += parts
-    return TokenSequence(tokens=tuple(tokens))
+            parts = memo[unit] = tuple(map(vocab.__getitem__, _split_unit(unit) if split else [unit]))
+        ids += parts
+    return TokenSequence(array("i", ids), vocab)
 
 
 @dataclass(frozen=True)
@@ -107,8 +137,8 @@ class SummaryRecord:
     """One summary with its generation metadata.
 
     ``text`` is the summary as written, the one raw string a report quotes;
-    ``summary`` holds its tokens. ``train_dataset`` is absent for
-    human-written references; ``input`` holds the tokens of the paired
+    ``summary`` holds its token ids. ``train_dataset`` is absent for
+    human-written references; ``input`` holds the ids of the paired
     source document, read only by abstractiveness.
     """
 
@@ -130,13 +160,13 @@ class SummaryRecord:
 
     @property
     def length_tokens(self) -> int:
-        return len(self.summary.tokens)
+        return len(self.summary)
 
 
 @dataclass(frozen=True)
 class Corpus:
     """An ordered, immutable, non-empty collection of records sharing one
-    tokenizer."""
+    tokenizer and one vocabulary."""
 
     records: tuple[SummaryRecord, ...]
     name: str = ""
@@ -147,18 +177,23 @@ class Corpus:
         if not self.records:
             raise EmptyCorpusError(f"corpus {self.name!r} has no records")
         seen: set[str] = set()
+        vocab = self.vocab  # ids from two vocabularies would collide without an error
         for rec in self.records:
             if rec.id in seen:
                 raise InputError(f"duplicate summary id {rec.id!r} in corpus {self.name!r}")
             seen.add(rec.id)
+            if rec.summary.vocab is not vocab or getattr(rec.input, "vocab", vocab) is not vocab:
+                raise InputError(f"record {rec.id!r} holds ids of another vocabulary")
 
     def __len__(self) -> int:
         return len(self.records)
 
+    @property
+    def vocab(self) -> Vocabulary:
+        return self.records[0].summary.vocab
 
-def _record_from_line(
-    line: str, config: TokenizerConfig, memo: dict[str, tuple[str, ...]]
-) -> SummaryRecord:
+
+def _record_from_line(line: str, config: TokenizerConfig, vocab: Vocabulary) -> SummaryRecord:
     """The record on one corpus line; ``ValueError`` names any fault in it."""
     try:
         obj = json.loads(line)
@@ -182,11 +217,11 @@ def _record_from_line(
     return SummaryRecord(
         id=obj["id"],
         text=obj["summary"],
-        summary=tokenize(obj["summary"], config, memo=memo),
+        summary=tokenize(obj["summary"], config, vocab=vocab),
         architecture=obj["architecture"],
         test_dataset=obj["test_dataset"],
         train_dataset=obj.get("train_dataset"),
-        input=tokenize(obj["input"], config, memo=memo) if obj.get("input") is not None else None,
+        input=tokenize(obj["input"], config, vocab=vocab) if obj.get("input") is not None else None,
     )
 
 
@@ -196,15 +231,15 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
     Each line is an object with required fields "id", "summary",
     "architecture", "test_dataset" and optional "input", "train_dataset".
     Blank lines are skipped. Errors report the file and line number. A
-    record keeps its summary's text and tokens, and only the tokens of its
-    input.
+    record keeps its summary's text and ids, and only the ids of its input,
+    all in one vocabulary.
     """
     if config is None:
         config = TokenizerConfig()
     path = Path(path)
     records: list[SummaryRecord] = []
     seen_ids: dict[str, int] = {}
-    memo: dict[str, tuple[str, ...]] = {}  # unit -> tokens, shared by every text in the file
+    vocab = Vocabulary()
     try:
         fh = path.open("r", encoding="utf-8")
     except OSError as exc:
@@ -215,7 +250,7 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
                 if not line.strip():
                     continue
                 try:
-                    record = _record_from_line(line, config, memo)
+                    record = _record_from_line(line, config, vocab)
                     if record.id in seen_ids:
                         first = seen_ids[record.id]
                         raise ValueError(f"duplicate id {record.id!r} (first seen on line {first})")
@@ -232,4 +267,6 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
             raise CorpusLoadError(f"{path}:{bad}: not valid UTF-8") from exc
     if not records:
         raise EmptyCorpusError(f"{path}: no records")
+    for memo in vocab.units:  # a cache for the load only: the corpus keeps ids and tokens
+        memo.clear()
     return Corpus(records=tuple(records), name=path.stem)

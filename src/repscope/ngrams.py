@@ -10,21 +10,19 @@ Membership counts summaries, not occurrences: five copies inside one
 summary contribute a single id. The index and the count of summary n-grams
 that occur in a record's own input (abstractiveness) read one kernel,
 _shared_levels, which keeps, length by length, the windows whose n-gram lies
-in two or more documents.
+in two or more documents, and reads the corpus's token ids as they are.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, SummaryRecord
+from .corpus import Corpus, SummaryRecord, TokenSequence
 
 NGram = tuple[str, ...]
 
@@ -37,21 +35,21 @@ class RepetitionIndex:
     window at offset row_offset[i] of document row_doc[i], and held by
     row_count[i] >= 2 summaries, whose document numbers are row i's slice of
     pair_docs: the row_count[i] values after those of rows 0..i-1. Document
-    d is the summary with token tuple documents[d] and id summary_ids[d], in
-    corpus order. Rows run by n, then by window class. max_observed_n is the
-    longest length with any repeat (0 when the index is empty). tallies is
-    keyed by every indexed summary id, so score lookups can reject records
-    from other corpora; each value holds the summary's Eq.1 terms as counted
-    while the index was built: (m, raw_sum) over all of its distinct
-    repeating types, then (m, raw_sum) over only the types not contained in
-    a longer repeating type of the same summary. Indexes compare by
-    identity.
+    d is the summary with token sequence documents[d] and id summary_ids[d],
+    in corpus order. Rows run by n, then by their token ids. max_observed_n
+    is the longest length with any repeat (0 when the index is empty).
+    tallies is keyed by every indexed summary id, so score lookups can
+    reject records from other corpora; each value holds the summary's Eq.1
+    terms as counted while the index was built: (m, raw_sum) over all of its
+    distinct repeating types, then (m, raw_sum) over only the types not
+    contained in a longer repeating type of the same summary. Indexes
+    compare by identity.
     """
 
     min_n: int
     max_observed_n: int
     summary_ids: tuple[str, ...] = field(repr=False)
-    documents: tuple[tuple[str, ...], ...] = field(repr=False)
+    documents: tuple[TokenSequence, ...] = field(repr=False)
     row_n: np.ndarray = field(repr=False)
     row_doc: np.ndarray = field(repr=False)
     row_offset: np.ndarray = field(repr=False)
@@ -105,21 +103,18 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 _MAX_TOKENS = 2**31
 
 
-def _encode(docs: Sequence[Sequence[str]]) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """The documents' tokens end to end as vocabulary ids, numbered from 0 in
-    first-seen order, the number of ids, the document of each token, and each
-    document's start in that array."""
+def _concat(docs: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The documents' token ids end to end, the document of each token, and
+    each document's start in that array."""
     lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
     total = int(lengths.sum())
     if max(total, len(docs)) >= _MAX_TOKENS:
         raise ValueError(
             f"{total} tokens in {len(docs)} documents: both must stay below {_MAX_TOKENS}"
         )
-    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # token -> id, in one pass
-    token_ids = map(vocab.__getitem__, chain.from_iterable(docs))
-    ids = np.fromiter(token_ids, dtype=np.int32, count=total)
+    ids = np.frombuffer(b"".join(seq.ids for seq in docs), dtype=np.int32)
     doc = np.repeat(np.arange(len(docs), dtype=np.int32), lengths)
-    return ids, len(vocab), doc, np.cumsum(lengths) - lengths
+    return ids, doc, np.cumsum(lengths) - lengths
 
 
 def _rank(key: np.ndarray) -> tuple[np.ndarray, int]:
@@ -140,9 +135,9 @@ def _shared_levels(cls: np.ndarray, n_classes: int, doc: np.ndarray, n_docs: int
     numbered below n_classes. A class is shared when its lowest and highest
     documents differ.
 
-    cls holds the level-1 class of each token, numbered densely from 0 to
-    n_classes - 1 and equal exactly when two tokens are (the index passes
-    its vocabulary ids as they are), and doc its document; both are int32.
+    cls holds the level-1 class of each token, below n_classes with perhaps
+    gaps, equal exactly when two tokens are (the index passes the corpus's
+    ids), and doc its document; both are int32.
     Classes are equal exactly when two windows spell the same tokens: the
     (n+1)-window at p gets the rank of the pair (class of the n-window at p,
     class of the n-window at p + 1), so classes run in the lexicographic
@@ -154,8 +149,8 @@ def _shared_levels(cls: np.ndarray, n_classes: int, doc: np.ndarray, n_docs: int
     been read, so a caller should drop what it holds of one level before
     asking for the next.
     """
-    # Classes are below the number of windows, so with fewer than 2**31
-    # windows the int64 key left * n_classes + right stays below 2**62.
+    # Classes are int32, so the int64 key left * n_classes + right stays
+    # below 2**62.
     pos = np.arange(cls.size, dtype=np.int32)
     n = 1
     while True:
@@ -204,12 +199,10 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
         raise ValueError(f"min_n must be >= 1, got {min_n}")
 
     summary_ids = tuple(rec.id for rec in corpus.records)
-    documents = tuple(rec.summary.tokens for rec in corpus.records)
+    documents = tuple(rec.summary for rec in corpus.records)
     n_docs = len(documents)
-    ids, n_ids, doc, starts = _encode(documents)
-    # the ids are dense and numbered in first-seen order, so they are the
-    # level-1 classes as they are
-    levels = _shared_levels(ids, n_ids, doc, n_docs)
+    ids, doc, starts = _concat(documents)
+    levels = _shared_levels(ids, len(corpus.vocab), doc, n_docs)
     del ids, doc
 
     # per level, the rows' n, window document and offset, count, and the
@@ -288,12 +281,13 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
 def paired_window_matches(records: Sequence[SummaryRecord], max_n: int) -> dict[int, int]:
     """For each n up to max_n at which any match exists, how many summary
     n-windows, over all the records, also occur in their own record's input.
-    Record r's summary is document 2r and its input 2r + 1, and a token's
-    class is the rank of its (id, r), so a class that two documents hold is
-    exactly an n-gram found in both the summary and the input of one record.
-    The scan is left after max_n, so no longer level is built."""
+    The records share one vocabulary. Record r's summary is document 2r and
+    its input 2r + 1, and a token's class is the rank of its (id, r), so a
+    class that two documents hold is exactly an n-gram found in both the
+    summary and the input of one record. The scan is left after max_n, so no
+    longer level is built."""
     n_records = len(records)
-    ids, _, doc, _ = _encode([seq.tokens for rec in records for seq in (rec.summary, rec.input)])
+    ids, doc, _ = _concat([seq for rec in records for seq in (rec.summary, rec.input)])
     key = ids.astype(np.int64) * n_records + doc // 2
     del ids
     cls, n_classes = _rank(key)

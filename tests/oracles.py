@@ -1,20 +1,32 @@
 """Independent oracles used to verify the production implementations.
 
-These deliberately take different routes: the index oracle compares every
-pair of summaries directly, the regression oracle solves the normal
-equations (``scipy_factor`` instead pins the fit's bits to scipy.linalg's
-own QR), and the tail-probability oracles integrate densities with
-adaptive quadrature.
+These deliberately take different routes: the tokenizer oracle classes
+every character it reads with unicodedata and keeps no cache, the index
+oracle compares every pair of summaries directly, the regression oracle
+solves the normal equations (``scipy_factor`` instead pins the fit's bits to
+scipy.linalg's own QR), and the tail-probability oracles integrate densities
+with adaptive quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import unicodedata
+from array import array
 
 import numpy as np
 from scipy.integrate import quad
 
-from repscope.corpus import Corpus, SummaryRecord, TokenSequence
+from repscope.corpus import Corpus, SummaryRecord, TokenSequence, Vocabulary
+
+# the vocabulary of the records make_record builds without one, so that any
+# of them can form a corpus together
+SHARED_VOCAB = Vocabulary()
+
+
+def token_sequence(tokens, vocab: Vocabulary) -> TokenSequence:
+    """The given tokens, numbered in vocab."""
+    return TokenSequence(array("i", map(vocab.__getitem__, tokens)), vocab)
 
 
 def make_record(
@@ -25,28 +37,30 @@ def make_record(
     test_dataset: str = "d",
     train_dataset: str | None = None,
     input_tokens=None,
+    vocab: Vocabulary = SHARED_VOCAB,
 ) -> SummaryRecord:
     tokens = tuple(tokens)
     return SummaryRecord(
         id=rid,
         text=" ".join(tokens),
-        summary=TokenSequence(tokens=tokens),
+        summary=token_sequence(tokens, vocab),
         architecture=architecture,
         test_dataset=test_dataset,
         train_dataset=train_dataset,
-        input=None if input_tokens is None else TokenSequence(tokens=tuple(input_tokens)),
+        input=None if input_tokens is None else token_sequence(input_tokens, vocab),
     )
 
 
 def corpus_from_token_lists(token_lists, name="synthetic") -> Corpus:
     """token_lists: sequence of (id, tokens) or plain token sequences."""
     records = []
+    vocab = Vocabulary()
     for i, item in enumerate(token_lists):
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
             rid, tokens = item
         else:
             rid, tokens = f"s{i}", item
-        records.append(make_record(rid, tokens))
+        records.append(make_record(rid, tokens, vocab=vocab))
     return Corpus(records=tuple(records), name=name)
 
 
@@ -66,6 +80,7 @@ def formulaic_corpus(n_summaries: int, mean_len: int, seed: int) -> Corpus:
     flat = filler_vocab[rng.integers(0, len(filler_vocab), size=int(lengths.sum()))].tolist()
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     records = []
+    vocab = Vocabulary()
     for i in range(n_summaries):
         tokens = flat[offsets[i] : offsets[i + 1]]
         if has_phrase[i]:
@@ -74,7 +89,7 @@ def formulaic_corpus(n_summaries: int, mean_len: int, seed: int) -> Corpus:
             tokens[pos : pos + len(phrase)] = phrase
         records.append(
             SummaryRecord(id=f"s{i}", text=" ".join(tokens),
-                          summary=TokenSequence(tokens=tuple(tokens)), architecture="BART",
+                          summary=token_sequence(tokens, vocab), architecture="BART",
                           train_dataset="d0", test_dataset="d0")
         )
     return Corpus(records=tuple(records), name="formulaic")
@@ -84,11 +99,43 @@ def random_corpus(rng, *, max_summaries=200, max_len=30, vocab_lo=10, vocab_hi=5
     n_summaries = int(rng.integers(2, max_summaries + 1))
     vocab_size = int(rng.integers(vocab_lo, vocab_hi + 1))
     records = []
+    vocab = Vocabulary()  # numbered in first-seen order over this corpus
     for i in range(n_summaries):
         length = int(rng.integers(0, max_len + 1))
         tokens = tuple(f"w{v}" for v in rng.integers(0, vocab_size, size=length))
-        records.append(make_record(f"s{i}", tokens))
+        records.append(make_record(f"s{i}", tokens, vocab=vocab))
     return Corpus(records=tuple(records), name=name)
+
+
+def _split_unit_oracle(unit: str) -> list[str]:
+    """A unit's leading punctuation characters, its core, and its trailing
+    ones, asking unicodedata for the category of each character in turn."""
+
+    def is_punctuation(ch: str) -> bool:
+        return unicodedata.category(ch).startswith("P")
+
+    start, end = 0, len(unit)
+    while start < end and is_punctuation(unit[start]):
+        start += 1
+    while end > start and is_punctuation(unit[end - 1]):
+        end -= 1
+    parts = list(unit[:start])
+    if start < end:
+        parts.append(unit[start:end])
+    parts.extend(unit[end:])
+    return parts
+
+
+def tokenize_oracle(text: str, case_fold: bool, punctuation_mode: str) -> tuple[str, ...]:
+    """The tokens of text, character by character and with no cache: fold
+    case, split on whitespace, and in "split" mode peel each Unicode P*
+    character off either end of a unit into a token of its own."""
+    if case_fold:
+        text = text.lower()
+    tokens: list[str] = []
+    for unit in text.split():
+        tokens += _split_unit_oracle(unit) if punctuation_mode == "split" else [unit]
+    return tuple(tokens)
 
 
 def _window_set(tokens, n):

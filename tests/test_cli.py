@@ -755,6 +755,22 @@ class TestReportAll:
         assert "broken.jsonl:1" in single_error_line(err) and "note:" not in err
         assert not out.exists()
 
+    def test_failed_publish_prints_only_the_error(self, tmp_path, capsys):
+        # the corpus has no inputs, so the run has a note to print, but the
+        # note belongs to a run that published its reports
+        noinput = write_jsonl(tmp_path / "noinput.jsonl", [
+            {"id": f"s{i}", "summary": "a b c d e f", "architecture": "Human",
+             "test_dataset": "d"} for i in (1, 2)
+        ])
+        out = tmp_path / "out"
+        (out / "dataset_scores.csv").mkdir(parents=True)
+        assert main(["report-all", str(noinput), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert single_error_line(err) == (
+            f"error: {out / 'dataset_scores.csv'}: cannot write report: Is a directory"
+        )
+        assert "note:" not in err
+
     @pytest.mark.parametrize("command", ["regress", "report-all"])
     def test_first_and_third_failures_named_in_order(self, fixture_corpora, tmp_path, capsys,
                                                      monkeypatch, command):

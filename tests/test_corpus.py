@@ -1,7 +1,8 @@
 import json
-import sys
+import random
 import tracemalloc
 import unicodedata
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,12 +14,14 @@ from repscope.corpus import (
     SummaryRecord,
     TokenizerConfig,
     TokenSequence,
+    Vocabulary,
     load_corpus,
     tokenize,
 )
 from repscope.errors import CorpusLoadError, InputError
 
 from conftest import UNREADABLE_CORPORA, write_jsonl
+from oracles import tokenize_oracle
 
 # Units that decide the tokenizer's output: ASCII and Unicode P* punctuation
 # at unit edges, interior punctuation, and letters whose case mapping changes
@@ -36,6 +39,11 @@ _UNITS = st.one_of(
 )
 # Separators, ASCII and not, all of which str.split() splits on.
 _SPACES = (" ", "  ", "\n", "\t", "\u00a0", "\u2003", "\x1c")
+# Characters for texts drawn one character at a time: P* punctuation, S*
+# and No symbols that are not punctuation, separators that str.split()
+# splits on, and letters whose case mapping changes length or context
+# ("Σ" lowers to "σ" or, ending a word, "ς").
+_ALPHABET = "ab'.,(”«»—…¿€½²$+^İßΣ" + " \t\n\x1c\x85\u00a0\u2003\u3000"
 
 
 def _reference_tokens(text: str, config: TokenizerConfig) -> tuple[str, ...]:
@@ -115,6 +123,24 @@ class TestTokenize:
         assert first == second
         assert all(tok for tok in first.tokens)
 
+    @settings(max_examples=200)
+    @given(st.lists(st.text(_ALPHABET, max_size=40), min_size=1, max_size=4))
+    def test_tokens_equal_reference_oracle(self, texts):
+        # every text under all four configs, numbered in one vocabulary
+        vocab = Vocabulary()
+        numbered: dict[str, set[int]] = {}
+        for text in texts:
+            for case_fold in (True, False):
+                for punctuation_mode in ("split", "attached"):
+                    config = TokenizerConfig(case_fold=case_fold, punctuation_mode=punctuation_mode)
+                    seq = tokenize(text, config, vocab=vocab)
+                    assert seq.tokens == tokenize_oracle(text, case_fold, punctuation_mode)
+                    for token, token_id in zip(seq, seq.ids):
+                        numbered.setdefault(token, set()).add(token_id)
+        # equal tokens get equal ids, and distinct tokens distinct ids
+        assert all(len(ids) == 1 for ids in numbered.values())
+        assert len(set().union(*numbered.values())) == len(numbered) == len(vocab)
+
     @settings(max_examples=100)
     @given(st.text(max_size=80))
     def test_retokenizing_joined_tokens_is_stable(self, raw):
@@ -156,6 +182,22 @@ class TestRecordInvariants:
                             test_dataset="d")
         with pytest.raises(InputError, match="dup"):
             Corpus(records=(rec, rec), name="c")
+
+    def test_records_of_two_vocabularies_rejected_by_corpus(self):
+        # "x" and "y" both take id 0 in vocabularies of their own
+        first = SummaryRecord(id="r1", text="x", summary=tokenize("x"), architecture="A",
+                              test_dataset="d")
+        vocab = first.summary.vocab
+        own = SummaryRecord(id="r2", text="y", summary=tokenize("y"), architecture="A",
+                            test_dataset="d")
+        paired = replace(own, summary=tokenize("y", vocab=vocab), input=tokenize("z"))
+        for rec in (own, paired):
+            assert list(rec.input.ids if rec.input else rec.summary.ids) == list(first.summary.ids)
+            with pytest.raises(InputError, match="'r2' holds ids of another vocabulary"):
+                Corpus(records=(first, rec), name="c")
+        shared = replace(paired, input=tokenize("z", vocab=vocab))
+        assert Corpus(records=(first, shared), name="c").vocab is vocab
+        assert list(shared.input.ids) == [2]
 
 
 class TestLoadCorpus:
@@ -228,9 +270,9 @@ class TestLoadCorpus:
         path = write_jsonl(tmp_path / "c.jsonl", lines)
         texts = []
 
-        def counting(raw_text, config=None, *, memo=None):
+        def counting(raw_text, config=None, *, vocab=None):
             texts.append(raw_text)
-            return tokenize(raw_text, config, memo=memo)
+            return tokenize(raw_text, config, vocab=vocab)
 
         monkeypatch.setattr(repscope.corpus, "tokenize", counting)
         load_corpus(path)
@@ -272,9 +314,9 @@ class TestLoadCorpus:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(texts=_corpus_texts())
     def test_load_matches_tokenize(self, tmp_path, case_fold, punctuation_mode, texts):
-        # load_corpus shares one unit memo across the whole file; every text
-        # must still tokenize exactly as it does on its own and as it does
-        # with no memo at all
+        # load_corpus shares one vocabulary and its unit memo across the whole
+        # file; every text must still tokenize exactly as it does on its own
+        # and as it does with no memo at all
         config = TokenizerConfig(case_fold=case_fold, punctuation_mode=punctuation_mode)
         lines = []
         for i, (summary, source) in enumerate(texts):
@@ -294,7 +336,9 @@ class TestLoadCorpus:
                 assert rec.input.tokens == want == _reference_tokens(source, config)
             for seq in (rec.summary, rec.input):
                 if seq is not None:
-                    assert all(sys.intern(tok) is tok for tok in seq.tokens)
+                    # every text is numbered in the corpus's one vocabulary
+                    assert seq.vocab is corpus.vocab
+                    assert [corpus.vocab[tok] for tok in seq] == list(seq.ids)
 
     def test_input_keeps_only_its_tokens(self, tmp_path):
         # abstractiveness reads an input's tokens only: once loaded, the
@@ -313,6 +357,33 @@ class TestLoadCorpus:
             tracemalloc.stop()
         assert len(corpus.records[0].input) == 4000
         assert held < 1_000_000
+
+    def test_corpus_holds_under_7_bytes_per_token(self, tmp_path):
+        # a corpus keeps one int32 id per token, in one array per text, and
+        # one copy of each distinct token: about 5.9 bytes per token here,
+        # its records, vocabulary and summary texts included. A tuple of
+        # interned strings per text held 9.6, and a list of ints holds 10.4.
+        rng = random.Random(0)
+        words = [f"w{i}" for i in range(3000)]
+
+        def units(count):
+            return " ".join(rng.choice(words) + ("," if rng.random() < 0.25 else "")
+                            for _ in range(count))
+
+        lines = [{"id": f"s{i}", "summary": " ".join(rng.choices(words, k=20)),
+                  "input": units(400), "architecture": "A", "test_dataset": "d"}
+                 for i in range(2000)]
+        path = write_jsonl(tmp_path / "c.jsonl", lines)
+        del lines
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tokens = sum(len(rec.summary) + len(rec.input) for rec in corpus.records)
+        assert 1_030_000 < tokens < 1_050_000
+        assert held / tokens < 7
 
     def test_empty_summary_allowed(self, tmp_path):
         lines = [{"id": "s1", "summary": "", "architecture": "A", "test_dataset": "d"}]

@@ -153,7 +153,7 @@ class TestDatasetScore:
                 continue
             index = build_repetition_index(corpus)
             before = summary_repetition_score(target, index).score
-            extra = make_record("extra", target.summary.tokens[:4])
+            extra = make_record("extra", target.summary.tokens[:4], vocab=corpus.vocab)
             grown = Corpus(records=corpus.records + (extra,), name="grown")
             after = summary_repetition_score(target, build_repetition_index(grown)).score
             assert after >= before

@@ -6,7 +6,7 @@ import pytest
 
 from repscope import ngrams
 from repscope.errors import EmptyCorpusError
-from repscope.corpus import Corpus, tokenize
+from repscope.corpus import Corpus, load_corpus, tokenize
 from repscope.metrics import abstractiveness_rows, summary_repetition_score
 from repscope.ngrams import (
     build_repetition_index,
@@ -14,7 +14,9 @@ from repscope.ngrams import (
     top_repeats,
 )
 
+from conftest import write_jsonl
 from oracles import (
+    abstractiveness_oracle,
     corpus_from_token_lists,
     eq1_oracle,
     formulaic_corpus,
@@ -294,6 +296,44 @@ class TestIndexProperties:
                 keys.append((n, tuple(first_seen[token] for token in gram)))
             assert len(set(keys)) == len(keys) == len(oracle_entries)
             assert keys == sorted(keys)
+
+    def test_loaded_corpus_with_paired_inputs(self, tmp_path):
+        # a loaded corpus numbers summaries and inputs in one vocabulary, so
+        # input-only tokens take ids between the summaries' ones and the
+        # index's level-1 classes have gaps; rows still run by n, then by
+        # the lexicographic order of their tokens' ids
+        rng = np.random.default_rng(47)
+        gaps = 0
+        for trial in range(30):
+            def words(high, size):
+                return [f"w{v}" for v in rng.integers(0, high, size=size)]
+
+            lines = []
+            for i in range(int(rng.integers(2, 25))):
+                summary = words(5, int(rng.integers(0, 16)))
+                start = int(rng.integers(0, len(summary) + 1))
+                source = words(10, int(rng.integers(0, 12))) + summary[start : start + 6]
+                lines.append({"id": f"s{i}", "summary": " ".join(summary),
+                              "input": " ".join(source), "architecture": "A",
+                              "test_dataset": "d"})
+            corpus = load_corpus(write_jsonl(tmp_path / f"c{trial}.jsonl", lines))
+            in_summaries = {i for rec in corpus.records for i in rec.summary.ids}
+            gaps += max(in_summaries, default=-1) + 1 > len(in_summaries)
+            for min_n in (1, 4):
+                index = build_repetition_index(corpus, min_n)
+                oracle_entries, oracle_max = pairwise_index_oracle(corpus, min_n)
+                assert {g: set(ids) for g, ids in index.entries.items()} == oracle_entries
+                assert index.max_observed_n == oracle_max
+                rows = zip(index.row_n.tolist(), index.row_doc.tolist(),
+                           index.row_offset.tolist())
+                keys = [(n, tuple(index.documents[d].ids[off : off + n])) for n, d, off in rows]
+                assert keys == sorted(keys)
+                assert len(set(keys)) == len(keys) == len(oracle_entries)
+            ns = (1, 2, 3, 4)
+            assert [row.percent_novel for row in abstractiveness_rows(corpus, ns)] == [
+                abstractiveness_oracle(corpus, n) for n in ns
+            ]
+        assert gaps > 0
 
 
 class TestAdversarialCorpora:
