@@ -4,8 +4,10 @@ A corpus is an ordered collection of summary records, each tokenized once
 under a single tokenizer configuration. Its summaries and inputs share one
 vocabulary, which numbers each token as an int32 id in first-seen order as
 the file is read; the index, the scores and abstractiveness read those ids
-as they are. A record keeps one raw string, its summary as written, for the
-reports that quote it; a paired input keeps only its ids.
+as they are. A sequence spells its tokens only through ``tokens``, and the
+index spells the windows it reports from the vocabulary itself. A record
+keeps one raw string, its summary as written, for the reports that quote
+it; a paired input keeps only its ids.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from array import array
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Iterator
 
 from .errors import CorpusLoadError, EmptyCorpusError, InputError
 
@@ -64,8 +65,8 @@ class Vocabulary(dict):
 @dataclass(frozen=True, slots=True)
 class TokenSequence:
     """A normalized token stream as int32 ids (an array of C ints) in
-    ``vocab``; the text it came from is not kept. Iterating and slicing spell
-    tokens."""
+    ``vocab``; the text it came from is not kept. ``tokens`` spells the
+    stream, and is its one decoder."""
 
     ids: array
     vocab: Vocabulary
@@ -73,15 +74,9 @@ class TokenSequence:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[str]:
-        return map(self.vocab.tokens.__getitem__, self.ids)
-
-    def __getitem__(self, window: slice) -> tuple[str, ...]:
-        return tuple(map(self.vocab.tokens.__getitem__, self.ids[window]))
-
     @property
     def tokens(self) -> tuple[str, ...]:
-        return tuple(self)
+        return tuple(map(self.vocab.tokens.__getitem__, self.ids))
 
 
 @cache  # one entry per character met

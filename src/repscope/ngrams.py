@@ -32,7 +32,8 @@ class RepetitionIndex:
     """Repeating n-grams of one corpus, keyed by exact token identity.
 
     Row i is one repeating n-gram: row_n[i] tokens long, spelled by the
-    window at offset row_offset[i] of document row_doc[i], and held by
+    window at offset row_offset[i] of document row_doc[i] (the index reads
+    its ids there and spells them in the corpus vocabulary), and held by
     row_count[i] >= 2 summaries, whose document numbers are row i's slice of
     pair_docs: the row_count[i] values after those of rows 0..i-1. Document
     d is the summary with token sequence documents[d] and id summary_ids[d],
@@ -40,10 +41,10 @@ class RepetitionIndex:
     is the longest length with any repeat (0 when the index is empty).
     tallies is keyed by every indexed summary id, so score lookups can
     reject records from other corpora; each value holds the summary's Eq.1
-    terms as counted while the index was built: (m, raw_sum) over all of its
-    distinct repeating types, then (m, raw_sum) over only the types not
-    contained in a longer repeating type of the same summary. Indexes
-    compare by identity.
+    terms: (m, raw_sum) over all of its distinct repeating types, which are
+    the rows holding it and the sum of their counts, then (m, raw_sum) over
+    only the types not contained in a longer repeating type of the same
+    summary. Indexes compare by identity.
     """
 
     min_n: int
@@ -76,11 +77,13 @@ class RepetitionIndex:
         # positions in pair_docs of every selected row's slice, end to end
         take = np.arange(int(counts.sum())) + np.repeat(first - (ends - counts), counts)
         ids = list(map(self.summary_ids.__getitem__, self.pair_docs[take].tolist()))
+        spell = self.documents[0].vocab.tokens.__getitem__
         for n, d, off, end, size in zip(
             self.row_n[rows].tolist(), self.row_doc[rows].tolist(),
             self.row_offset[rows].tolist(), ends.tolist(), counts.tolist(),
         ):
-            yield self.documents[d][off : off + n], frozenset(ids[end - size : end])
+            gram = tuple(map(spell, self.documents[d].ids[off : off + n]))
+            yield gram, frozenset(ids[end - size : end])
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -192,7 +195,9 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     length with no repeats, which is safe because a repeated (n+1)-gram
     implies both of its n-sub-grams repeat in the same summaries. From
     min_n on, each level's kept windows give its (class, summary) pairs,
-    which become rows, and the Eq.1 terms are tallied in the same pass (see
+    which become rows. The Eq.1 terms over all types are read off the rows
+    once they are built; the part covered by a longer type is tallied level
+    by level, since it reads the previous level's classes (see
     RepetitionIndex).
     """
     if min_n < 1:
@@ -208,9 +213,7 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
     # per level, the rows' n, window document and offset, count, and the
     # documents of their pairs; an empty level first, for an empty index
     parts = [(np.empty(0, dtype=np.int64),) * 5]
-    # Eq.1 terms per summary: all types, and the part covered by a longer type
-    m_all = np.zeros(n_docs, dtype=np.int64)
-    raw_all = np.zeros(n_docs, dtype=np.int64)
+    # Eq.1 terms per summary over the types covered by a longer type
     m_covered = np.zeros(n_docs, dtype=np.int64)
     raw_covered = np.zeros(n_docs, dtype=np.int64)
     max_observed = 0
@@ -223,8 +226,6 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
             pair_doc = pairs % n_docs
             pair_cls = pairs // n_docs
             doc_counts = np.bincount(pair_cls, minlength=n_classes)
-            np.add.at(m_all, pair_doc, 1)
-            np.add.at(raw_all, pair_doc, doc_counts[pair_cls])
             if n > min_n:
                 # an (n-1)-type of a summary lies inside a longer repeating
                 # type of it exactly when it is a half of a repeating
@@ -252,6 +253,13 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
         # next level's tallies read of this one
         del pos, doc, cls
 
+    row_n, row_doc, row_offset, row_count, pair_docs = map(np.concatenate, zip(*parts))
+    del parts
+    # Eq.1 terms per summary over all its types, read off the rows: each
+    # row it is in is one type, and adds that row's count to its sum
+    m_all = np.bincount(pair_docs, minlength=n_docs)
+    raw_all = np.zeros(n_docs, dtype=np.int64)
+    np.add.at(raw_all, pair_docs, np.repeat(row_count, row_count))
     tallies = dict(
         zip(
             summary_ids,
@@ -263,7 +271,6 @@ def build_repetition_index(corpus: Corpus, min_n: int = 4) -> RepetitionIndex:
             ),
         )
     )
-    row_n, row_doc, row_offset, row_count, pair_docs = map(np.concatenate, zip(*parts))
     return RepetitionIndex(
         min_n=min_n,
         max_observed_n=max_observed,

@@ -66,31 +66,29 @@ def corpus_from_token_lists(token_lists, name="synthetic") -> Corpus:
 
 def formulaic_corpus(n_summaries: int, mean_len: int, seed: int) -> Corpus:
     """Synthetic corpus with a pool of stock phrases so that repeats are
-    plentiful and chain up to realistic lengths."""
+    plentiful and chain up to realistic lengths. The draws stay ids: filler
+    token t{i} is id i, phrase token p{i} is id 30000 + i."""
     rng = np.random.default_rng(seed)
-    filler_vocab = np.array([f"t{i}" for i in range(30000)])
-    phrase_vocab = [f"p{i}" for i in range(800)]
-    phrases = [
-        [phrase_vocab[v] for v in rng.integers(0, len(phrase_vocab), size=rng.integers(5, 11))]
-        for _ in range(500)
-    ]
+    vocab = Vocabulary()
+    for token in [f"t{i}" for i in range(30000)] + [f"p{i}" for i in range(800)]:
+        vocab[token]  # numbers it
+    phrases = [30000 + rng.integers(0, 800, size=rng.integers(5, 11)) for _ in range(500)]
     lengths = np.maximum(8, rng.poisson(mean_len, size=n_summaries))
     has_phrase = rng.random(n_summaries) < 0.8
     phrase_pick = rng.integers(0, len(phrases), size=n_summaries)
-    flat = filler_vocab[rng.integers(0, len(filler_vocab), size=int(lengths.sum()))].tolist()
+    flat = rng.integers(0, 30000, size=int(lengths.sum())).astype(np.int32)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     records = []
-    vocab = Vocabulary()
     for i in range(n_summaries):
-        tokens = flat[offsets[i] : offsets[i + 1]]
+        ids = flat[offsets[i] : offsets[i + 1]]
         if has_phrase[i]:
             phrase = phrases[phrase_pick[i]]
-            pos = int(rng.integers(0, len(tokens) - len(phrase) + 1))
-            tokens[pos : pos + len(phrase)] = phrase
+            pos = int(rng.integers(0, ids.size - phrase.size + 1))
+            ids[pos : pos + phrase.size] = phrase
+        summary = TokenSequence(array("i", ids.tobytes()), vocab)
         records.append(
-            SummaryRecord(id=f"s{i}", text=" ".join(tokens),
-                          summary=token_sequence(tokens, vocab), architecture="BART",
-                          train_dataset="d0", test_dataset="d0")
+            SummaryRecord(id=f"s{i}", text=" ".join(summary.tokens), summary=summary,
+                          architecture="BART", train_dataset="d0", test_dataset="d0")
         )
     return Corpus(records=tuple(records), name="formulaic")
 

@@ -360,7 +360,7 @@ def test_performance_100k_summaries():
         "performance: 100k summaries indexed and scored",
         sane and elapsed < 300.0 and peak_gb < 8.0,
         f"elapsed {elapsed:.1f}s, peak RSS {peak_gb:.2f} GB, "
-        f"{len(index.entries)} entries, max n {index.max_observed_n}",
+        f"{len(index.entries)} entries, max n {index.max_observed_n}, score {dataset.score:.5f}",
     )
 
 

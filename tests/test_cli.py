@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import functools
 import gc
 import importlib.machinery
@@ -583,6 +584,12 @@ class TestConfigHandling:
         ({"abstractiveness_ns": [2, 2]}, "abstractiveness_ns"),
         ({"output_formats": ["csv", "csv"]}, "output_formats"),
         ({"output_dir": "o\u0000x"}, "output_dir"),
+        ({"eq1_mode": "some"}, "eq1_mode"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"regression": {"reference_train": 3}}, "reference_train"),
+        ({"regression": {"confidence_level": "high"}}, "confidence_level"),
+        ({"regression": {"confidence_level": 1.5}}, "confidence_level"),
+        ({"regression": {"lr_critical_value": 0}}, "lr_critical_value"),
     ])
     def test_malformed_config_exits_1_naming_key(
         self, fixture_corpora, tmp_path, capsys, config, key
@@ -621,6 +628,16 @@ class TestConfigHandling:
         code = main(["score", "whatever.jsonl", "--config", str(config_path)])
         assert code == 1
         assert "config" in capsys.readouterr().err
+
+    def test_config_that_is_a_directory_exits_1(self, fixture_corpora, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.mkdir()
+        out = tmp_path / "out"
+        code = main(["score", *fixture_corpora, "--config", str(config_path),
+                     "--output-dir", str(out)])
+        assert code == 1
+        assert f"{config_path}: cannot open config" in single_error_line(capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("content, message", [
         (b'{"min_n": 3, "output_formats": ["csv\xff"]}', "config is not valid UTF-8"),
@@ -680,8 +697,9 @@ class TestConfigHandling:
 
 
 class TestPublishing:
-    """Texts and paths that no report may take: each run exits 1 with one
-    ``error:`` line and leaves no report and no temporary file behind."""
+    """Texts and paths that no report may take, and writes that fail: each
+    run exits 1 with one ``error:`` line and leaves no new report, no
+    manifest and no temporary file behind."""
 
     LINES = [
         {"id": f"s{i}", "summary": "sign up for our daily briefing", "architecture": "A",
@@ -739,6 +757,42 @@ class TestPublishing:
         )
         assert corpus.read_bytes() == original
         assert sorted(p.name for p in out.iterdir()) == ["repeats_x.jsonl"]
+
+    def test_staging_failure_leaves_earlier_reports_whole(
+        self, fixture_corpora, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 0
+        earlier = {name: blob for name, blob in dir_snapshot(out).items()
+                   if name != "run_manifest.json"}
+        write_bytes = Path.write_bytes
+        staged = []
+
+        def disk_full_on_third_file(path, data):
+            staged.append(path)
+            if len(staged) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full_on_third_file)
+        capsys.readouterr()
+        assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: {out / 'summary_scores_bart_xsum.csv'}: cannot write report: "
+            "No space left on device"
+        ], err
+        # no staged file and no manifest is left, and each earlier report is as it was
+        assert dir_snapshot(out) == earlier
+
+    def test_manifest_that_is_a_directory_exits_1(self, fixture_corpora, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "run_manifest.json").mkdir(parents=True)
+        assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 1
+        assert single_error_line(capsys.readouterr().err) == (
+            f"error: {out / 'run_manifest.json'}: cannot remove the old manifest: Is a directory"
+        )
+        assert os.listdir(out) == ["run_manifest.json"]
 
 
 class TestReportAll:

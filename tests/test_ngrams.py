@@ -282,14 +282,14 @@ class TestIndexProperties:
             assert [a.dtype for a in arrays] == [np.dtype(np.int64)] * 5
             assert index.pair_docs.size == index.row_count.sum()
             first_seen: dict[str, int] = {}
-            for tokens in index.documents:
-                for token in tokens:
+            for seq in index.documents:
+                for token in seq.tokens:
                     first_seen.setdefault(token, len(first_seen))
             doc_of = {rid: d for d, rid in enumerate(index.summary_ids)}
             ends = np.cumsum(index.row_count).tolist()
             keys = []
             for n, d, off, size, end in zip(*(a.tolist() for a in arrays[:4]), ends):
-                gram = index.documents[d][off : off + n]
+                gram = index.documents[d].tokens[off : off + n]
                 assert len(gram) == n
                 docs = index.pair_docs[end - size : end].tolist()
                 assert docs == sorted({doc_of[rid] for rid in oracle_entries[gram]})

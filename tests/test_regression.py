@@ -164,6 +164,10 @@ class TestBuildDesignMatrix:
         with pytest.raises(ValueError, match="scores"):
             build_design_matrix(fixture_records(), [0.0], SPEC)
 
+    def test_no_records_rejected(self):
+        with pytest.raises(DegenerateDesignError, match="^no records to regress on$"):
+            build_design_matrix([], [])
+
 
 class TestOlsFit:
     def test_exact_line(self):
