@@ -4,8 +4,10 @@ Every command reads JSON-Lines corpora, writes reports into --output-dir,
 and drops a run manifest (config hash, input digests, tool version) beside
 them. The reports are collected during the run and published at its end,
 the manifest last, so a run that fails leaves the earlier reports whole and
-no manifest; a usage error exits before the old manifest is removed.
-Reports are deterministic: rerunning a command on identical inputs with an
+no manifest; a usage error, such as two corpora of one name, exits before
+the old manifest is removed and before any corpus is read. A corpus that
+changes between its load and its digest fails the run. Reports are
+deterministic: rerunning a command on identical inputs with an
 identical config reproduces every file byte for byte. ``score``,
 ``regress`` and ``report-all`` share one loop (``_each_corpus``) that takes
 the corpora one at a time: it loads, indexes and scores each one, writes its
@@ -165,16 +167,15 @@ def _each_corpus(run: _Run, reports_of=None):
     summary scores to ``reports_of``, and return what the cross-corpus reports
     read: the dataset scores, the (name, length statistics) pairs, and one
     label row and one score per record. Every corpus that fails to load is
-    named in one ``InputError``; duplicate names are refused after the last
-    load."""
-    datasets, lengths, labels, scores, failures, names = [], [], [], [], [], []
+    named in one ``InputError``; ``_Run`` has refused duplicate names before
+    the first load."""
+    datasets, lengths, labels, scores, failures = [], [], [], [], []
     for path in run.corpora:
         try:
             corpus = load_corpus(path, run.config.tokenizer)
         except InputError as exc:
             failures.append(str(exc))
             continue
-        names.append(corpus.name)
         if not failures:  # after a failure the rest load only to name theirs
             index = build_repetition_index(corpus, run.config.min_n)
             summaries = [summary_repetition_score(rec, index, mode=run.config.eq1_mode)
@@ -189,12 +190,6 @@ def _each_corpus(run: _Run, reports_of=None):
         corpus = index = summaries = None  # or they stay alive through the next load
     if failures:
         raise InputError("\n".join(failures))
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    if dupes:
-        raise InputError(
-            "corpus files must have distinct names, duplicated: "
-            + ", ".join(repr(d) for d in dupes)
-        )
     return datasets, lengths, labels, scores
 
 
@@ -207,21 +202,38 @@ def _stat(path) -> os.stat_result | None:
         return None
 
 
-def _digest(corpus: str) -> str:
-    """The manifest's sha256 of a corpus, read again after its load."""
+def _version(st: os.stat_result | None):
+    """What tells one state of a file from a later one, short of its bytes."""
+    return st and (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _digest(corpus: str, before: os.stat_result | None) -> str:
+    """The manifest's sha256 of a corpus, read again after its load.
+    ``before`` is its stat from before the load; a corpus whose stat after
+    the digest differs was changed during the run, so the digest may not be
+    of the bytes analysed. A rewrite to the same size within one tick of the
+    file system's timestamps is not seen."""
     try:
-        return reports.sha256_file(corpus)
+        digest = reports.sha256_file(corpus)
     except OSError as exc:
         raise InputError(f"{corpus}: cannot read it again for its digest: "
                          f"{exc.strerror or exc}") from exc
+    if before is None or _version(_stat(corpus)) != _version(before):
+        raise InputError(f"{corpus}: changed during the run")
+    return digest
 
 
 class _Run:
     """Collects the report texts of one invocation; ``finish`` publishes them.
     It is the only code that touches ``--output-dir``, and it never writes or
-    removes a file the run reads: a corpus or the ``--config`` file. Each
-    corpus is read twice, once to load it and once for its digest, so a
-    corpus that is not a regular file is refused before it is opened."""
+    removes a file the run reads: a corpus or the ``--config`` file.
+
+    Every check that needs only the corpus paths runs here, before the old
+    manifest is removed and before any corpus is read. Each corpus is read
+    twice, once to load it and once for its digest, so a corpus that is not
+    a regular file is refused, and its stat is kept to refuse a corpus that
+    changed between the two reads. Two corpora that ``load_corpus`` would
+    give one name are refused, as their reports would overwrite each other."""
 
     def __init__(
         self, command: str, config: AnalysisConfig, corpora: list[str], config_path: str | None
@@ -229,13 +241,20 @@ class _Run:
         self.command = command
         self.config = config
         self.corpora = corpora
-        inputs = {p: _stat(p) for p in (*corpora, config_path) if p}
+        self.inputs = inputs = {p: _stat(p) for p in (*corpora, config_path) if p}
         for path in corpora:
             if inputs[path] is not None and not stat.S_ISREG(inputs[path].st_mode):
                 raise InputError(
                     f"{path}: not a regular file; a corpus is read twice, "
                     "to load it and for its digest"
                 )
+        names = [Path(p).stem for p in corpora]
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        if dupes:
+            raise InputError(
+                "corpus files must have distinct names, duplicated: "
+                + ", ".join(repr(d) for d in dupes)
+            )
         # the (st_dev, st_ino) pairs ``os.path.samefile`` compares, taken once
         # here so that checking an output costs one stat, whatever the inputs
         self.read_ids = {(st.st_dev, st.st_ino) for st in inputs.values() if st is not None}
@@ -299,7 +318,7 @@ class _Run:
             "command": self.command,
             "config": config_dict,
             "config_sha256": reports.sha256_bytes(config_json),
-            "inputs": [{"path": p, "sha256": _digest(p)} for p in self.corpora],
+            "inputs": [{"path": p, "sha256": _digest(p, self.inputs[p])} for p in self.corpora],
             "outputs": sorted(self.files),
             "notes": self.notes,
         }

@@ -225,9 +225,12 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
 
     Each line is an object with required fields "id", "summary",
     "architecture", "test_dataset" and optional "input", "train_dataset".
-    Blank lines are skipped. Errors report the file and line number. A
-    record keeps its summary's text and ids, and only the ids of its input,
-    all in one vocabulary.
+    A line ends at ``\\n`` only, as JSON Lines defines it, so a ``\\r``
+    before it or between the parts of a record is JSON whitespace. Each
+    line is decoded as UTF-8 once, in the one read of the file, so a byte
+    that is not UTF-8 is named by its line. Blank lines are skipped.
+    Errors report the file and line number. A record keeps its summary's
+    text and ids, and only the ids of its input, all in one vocabulary.
     """
     if config is None:
         config = TokenizerConfig()
@@ -236,30 +239,25 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
     seen_ids: dict[str, int] = {}
     vocab = Vocabulary()
     try:
-        fh = path.open("r", encoding="utf-8")
+        fh = path.open("rb")
     except OSError as exc:
         raise CorpusLoadError(f"{path}: cannot open: {exc.strerror or exc}") from exc
     with fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                try:
-                    record = _record_from_line(line, config, vocab)
-                    if record.id in seen_ids:
-                        first = seen_ids[record.id]
-                        raise ValueError(f"duplicate id {record.id!r} (first seen on line {first})")
-                except ValueError as exc:
-                    raise CorpusLoadError(f"{path}:{lineno}: {exc}") from exc
-                seen_ids[record.id] = lineno
-                records.append(record)
-        except UnicodeDecodeError as exc:
-            # the reader decodes 8 KB chunks, so the lines read so far do not
-            # place the bad byte: read again with undecodable bytes escaped
-            with path.open("r", encoding="utf-8", errors="surrogateescape") as again:
-                bad = next((n for n, text in enumerate(again, start=1)
-                            if re.search("[\udc80-\udcff]", text)), "?")
-            raise CorpusLoadError(f"{path}:{bad}: not valid UTF-8") from exc
+                record = _record_from_line(line, config, vocab)
+                if record.id in seen_ids:
+                    first = seen_ids[record.id]
+                    raise ValueError(f"duplicate id {record.id!r} (first seen on line {first})")
+            except UnicodeDecodeError as exc:
+                raise CorpusLoadError(f"{path}:{lineno}: not valid UTF-8") from exc
+            except ValueError as exc:
+                raise CorpusLoadError(f"{path}:{lineno}: {exc}") from exc
+            seen_ids[record.id] = lineno
+            records.append(record)
     if not records:
         raise EmptyCorpusError(f"{path}: no records")
     for memo in vocab.units:  # a cache for the load only: the corpus keeps ids and tokens

@@ -200,13 +200,11 @@ def _call(routine, *args, **kwargs):
 
 
 def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(r, b)``: LAPACK reads ``r`` in
-    Fortran order, so a C-ordered ``r`` is solved as its transpose."""
+    """``scipy.linalg.solve_triangular(r, b)`` for the C-ordered ``r`` that
+    ``_factor`` makes: LAPACK reads ``r`` in Fortran order, so it is solved
+    as its transpose, as scipy solves a C-ordered matrix."""
     r, b = np.asarray_chkfinite(r), np.asarray_chkfinite(b)
-    if r.flags.f_contiguous:
-        x, info = _lapack().dtrtrs(r, b, lower=False, trans=0)
-    else:
-        x, info = _lapack().dtrtrs(r.T, b, lower=True, trans=1)
+    x, info = _lapack().dtrtrs(r.T, b, lower=True, trans=1)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
     return x

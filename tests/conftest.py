@@ -65,13 +65,19 @@ def _valid_lines(count: int) -> bytes:
 
 # Corpus files that repscope cannot read into records, as (content, the line
 # that holds the fault, the error it gets): a byte that is not UTF-8 after more
-# than the reader's 8 KB first chunk, an integer of more digits than Python
-# converts, an array nested deeper than the parser recurses, and a lone
-# surrogate escape, which json accepts but no UTF-8 report can hold (the
-# surrogate pair on the line before it is one character and loads).
+# than 8 KB of good lines, also in a file of \r\n line ends, an integer of more
+# digits than Python converts, an array nested deeper than the parser recurses,
+# a lone surrogate escape, which json accepts but no UTF-8 report can hold (the
+# surrogate pair on the line before it is one character and loads), and lines
+# that end in a lone \r, which JSON Lines does not end a line at: the file is
+# one line holding two records.
 UNREADABLE_CORPORA = {
     "not_utf8": (_valid_lines(300) + b'{"id": "s\xff"}\n' + _valid_lines(1), 301,
                  "not valid UTF-8"),
+    "not_utf8_crlf": (
+        (_valid_lines(300) + b'{"id": "s\xff"}\n' + _valid_lines(1)).replace(b"\n", b"\r\n"),
+        301, "not valid UTF-8",
+    ),
     "huge_int": (_valid_lines(1) + b'{"id": ' + b"1" * 5000 + b"}\n", 2, "invalid JSON"),
     "deep_nest": (_valid_lines(1) + b"[" * 100_000 + b"\n", 2, "invalid JSON"),
     "lone_surrogate": (
@@ -79,6 +85,7 @@ UNREADABLE_CORPORA = {
         + b'{"id": "s\\ud800", "summary": "", "architecture": "A", "test_dataset": "d"}\n',
         2, "field 'id' holds a lone surrogate",
     ),
+    "lone_cr": (_valid_lines(2).replace(b"\n", b"\r"), 1, "invalid JSON: Extra data"),
 }
 
 

@@ -148,20 +148,28 @@ class TestScore:
         inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
         assert inputs == [{"path": "/dev/stdin", "sha256": reports.sha256_file(fixture_corpora[0])}]
 
+    @pytest.mark.parametrize("change", ["removed", "appended"])
     def test_corpus_gone_before_its_digest_exits_1(self, fixture_corpora, tmp_path, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch, change):
+        # the manifest's digest must be of the bytes the run analysed
         load = repscope.cli.load_corpus
 
-        def load_then_remove(path, *args):
+        def load_then_change(path, *args):
             corpus = load(path, *args)
-            os.remove(path)
+            if change == "removed":
+                os.remove(path)
+            else:
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps({"id": "late", "summary": "a", "architecture": "A",
+                                         "test_dataset": "d"}) + "\n")
             return corpus
 
-        monkeypatch.setattr(repscope.cli, "load_corpus", load_then_remove)
+        monkeypatch.setattr(repscope.cli, "load_corpus", load_then_change)
         out = tmp_path / "out"
         assert main(["score", fixture_corpora[0], "--output-dir", str(out)]) == 1
         assert single_error_line(capsys.readouterr().err).startswith(
             f"error: {fixture_corpora[0]}: cannot read it again for its digest: "
+            if change == "removed" else f"error: {fixture_corpora[0]}: changed during the run"
         )
         assert not out.exists()
 
@@ -176,7 +184,7 @@ class TestScore:
         assert single_error_line(capsys.readouterr().err) == f"error: {path}: no records"
         assert not out.exists()
 
-    def test_duplicate_corpus_names_rejected(self, tmp_path, capsys):
+    def test_duplicate_corpus_names_rejected(self, tmp_path, capsys, monkeypatch):
         a = tmp_path / "a"
         b = tmp_path / "b"
         a.mkdir()
@@ -184,13 +192,25 @@ class TestScore:
         lines = [{"id": "s1", "summary": "a", "architecture": "A", "test_dataset": "d"}]
         write_jsonl(a / "same.jsonl", lines)
         write_jsonl(b / "same.jsonl", lines)
-        # report-all would note that the first one lacks paired inputs
-        for command in ("score", "report-all"):
+        out = tmp_path / "o"
+        assert main(["score", str(a / "same.jsonl"), "--output-dir", str(out)]) == 0
+        earlier = dir_snapshot(out)
+        assert "run_manifest.json" in earlier
+        # refused from the paths alone: no corpus is read, and the earlier
+        # run's manifest and reports stay
+        loads = []
+        monkeypatch.setattr(repscope.cli, "load_corpus", lambda *args: loads.append(args))
+        for command in ("score", "regress", "report-all"):
             code = main([command, str(a / "same.jsonl"), str(b / "same.jsonl"),
-                         "--output-dir", str(tmp_path / "o")])
+                         "--output-dir", str(out)])
             assert code == 1
             err = capsys.readouterr().err
-            assert "distinct names" in single_error_line(err) and "note:" not in err
+            assert single_error_line(err) == (
+                "error: corpus files must have distinct names, duplicated: 'same'"
+            )
+            assert "note:" not in err
+        assert loads == []
+        assert dir_snapshot(out) == earlier
 
 
 class TestRepeats:

@@ -238,6 +238,20 @@ class TestLoadCorpus:
         with pytest.raises(CorpusLoadError, match=rf"c\.jsonl:{lineno}: {message}"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_carriage_return_inside_a_record_is_whitespace(self, tmp_path, newline):
+        # JSON Lines ends a line at \n only, so a \r elsewhere is JSON whitespace
+        plain = write_jsonl(tmp_path / "plain.jsonl", self._lines())
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_bytes(plain.read_bytes().replace(b", ", b",\r ").replace(b"\n", newline))
+        assert b",\r " in spaced.read_bytes()
+
+        def fields(path):
+            return [(r.id, r.text, r.summary.tokens, r.architecture, r.train_dataset,
+                     r.test_dataset) for r in load_corpus(path).records]
+
+        assert fields(spaced) == fields(plain)
+
     def test_tokenizes_through_module_tokenize(self, tmp_path, monkeypatch):
         # a traced run wraps repscope.corpus.tokenize; load_corpus must call
         # that attribute once per text, or the span reads 0 calls
