@@ -9,12 +9,16 @@ the old manifest is removed and before any corpus is read. A corpus that
 changes between its load and its digest fails the run. Reports are
 deterministic: rerunning a command on identical inputs with an
 identical config reproduces every file byte for byte. ``score``,
-``regress`` and ``report-all`` share one loop (``_each_corpus``) that takes
-the corpora one at a time: it loads, indexes and scores each one, writes its
+``regress`` and ``report-all`` share one fan-out (``_each_corpus``): the
+corpora are dealt out in argument order to one process per usable CPU, this
+one first and the others forked once per run, and each process takes its
+corpora one at a time: it loads, indexes and scores each one, renders its
 own reports, and keeps only what the cross-corpus reports read before the
-next load. ``regress`` and ``report-all`` then fit the pooled scores on each
-record's labels in one regression, in this process: only that fit loads
-scipy's LAPACK wrappers (``regression._factor``), and no command forks.
+next load. This process merges what every process made in argument order,
+so reports, notes and errors are those of a run in one process. ``regress``
+and ``report-all`` then fit the pooled scores on each record's labels in
+one regression, in this process: only that fit loads scipy's LAPACK
+wrappers (``regression._factor``).
 
 Exit codes: 0 success, 1 input error, 2 analysis error.
 """
@@ -22,12 +26,15 @@ Exit codes: 0 success, 1 input error, 2 analysis error.
 from __future__ import annotations
 
 import argparse
+import copy
 import os
+import pickle
+import signal
 import stat
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .config import OUTPUT_FORMATS, AnalysisConfig, load_config
@@ -35,6 +42,8 @@ from .corpus import Corpus, load_corpus
 from .errors import AnalysisError, InputError, MissingPairedInputError
 from .metrics import (
     SCORE_MODES,
+    DatasetRepetitionScore,
+    LengthStats,
     abstractiveness_rows,
     dataset_repetition_score,
     length_statistics,
@@ -162,32 +171,156 @@ class _Labels(NamedTuple):
     length_tokens: int
 
 
-def _each_corpus(run: _Run, reports_of=None):
-    """Load, index and score each corpus in turn, hand it, its index and its
-    summary scores to ``reports_of``, and return what the cross-corpus reports
-    read: the dataset scores, the (name, length statistics) pairs, and one
-    label row and one score per record. Every corpus that fails to load is
-    named in one ``InputError``; ``_Run`` has refused duplicate names before
-    the first load."""
-    datasets, lengths, labels, scores, failures = [], [], [], [], []
-    for path in run.corpora:
+class _Scored(NamedTuple):
+    """What one corpus gives the cross-corpus reports and the fit, with the
+    texts and notes of its own reports."""
+
+    dataset: DatasetRepetitionScore
+    lengths: tuple[str, LengthStats]
+    labels: list[_Labels]
+    scores: list[float]
+    files: dict[str, str]
+    notes: list[str]
+
+
+def _entry(run: _Run, path: str, reports_of, load_only: bool):
+    """Load one corpus and, unless ``load_only``, index and score it and hand
+    it, its index and its summary scores to ``reports_of`` with a part of
+    ``run`` that collects its reports alone. A load failure gives its message."""
+    try:
+        corpus = load_corpus(path, run.config.tokenizer)
+    except InputError as exc:
+        return str(exc)
+    if load_only:
+        return None
+    index = build_repetition_index(corpus, run.config.min_n)
+    summaries = [summary_repetition_score(rec, index, mode=run.config.eq1_mode)
+                 for rec in corpus.records]
+    part = run.part()
+    if reports_of is not None:
+        reports_of(part, corpus, index, summaries)
+    return _Scored(
+        dataset_repetition_score(corpus, index),
+        (corpus.name, length_statistics(corpus)),
+        [_Labels(r.architecture, r.train_dataset, r.test_dataset, r.length_tokens)
+         for r in corpus.records],
+        [s.score for s in summaries],
+        part.files, part.notes,
+    )
+
+
+def _share(run: _Run, paths: list[str], reports_of) -> list:
+    """``_entry`` of each path in turn, one corpus held at a time, or the
+    exception it raised. After the first load failure or exception of the
+    share, the rest are only loaded, to name their own failures."""
+    entries = []
+    for path in paths:
+        load_only = any(not isinstance(e, _Scored) for e in entries)
         try:
-            corpus = load_corpus(path, run.config.tokenizer)
-        except InputError as exc:
-            failures.append(str(exc))
+            entries.append(_entry(run, path, reports_of, load_only))
+        except Exception as exc:  # raised by ``_each_corpus`` unless a load failed before it
+            entries.append(exc)
+    return entries
+
+
+def _processes(count: int) -> int:
+    """How many processes share ``count`` corpora: one per usable CPU, at most
+    one per corpus. One where the process cannot fork, or runs a second OS
+    thread (an OpenBLAS worker, say), which a fork would not copy."""
+    try:
+        if not hasattr(os, "fork") or len(os.listdir("/proc/self/task")) > 1:
+            return 1
+        return max(1, min(len(os.sched_getaffinity(0)), count))
+    except (AttributeError, OSError):  # no sched_getaffinity, or no /proc
+        return 1
+
+
+def _work(run: _Run, paths: list[str], reports_of, fd: int) -> NoReturn:
+    """A forked worker's whole life: run its share, send the entries pickled
+    through ``fd``, and exit without returning into the caller, with status 0
+    only once they are sent."""
+    status = 1
+    try:
+        with open(fd, "wb") as pipe:
+            pickle.dump(_share(run, paths, reports_of), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _each_corpus(run: _Run, reports_of=None):
+    """Load, index and score each corpus, hand it, its index and its summary
+    scores to ``reports_of`` with a part of ``run`` that collects its reports,
+    and return what the cross-corpus reports read: the dataset scores, the
+    (name, length statistics) pairs, and one label row and one score per
+    record.
+
+    The corpora are shared among ``_processes`` processes: corpus i goes to
+    process i mod P, and process 0 is this one, so the split, and what a
+    traced run counts here, is the same in every run. Each other process is
+    forked once and runs its share in order, one corpus at a time. This
+    process runs its own share, then reads each worker's entries and reaps
+    it; on any exception it kills and reaps every worker left. The entries
+    are merged in argument order as one process would have made them: every
+    corpus that fails to load is named in one ``InputError``, an exception
+    is raised only if no corpus before it failed to load, and after a load
+    failure the later corpora only name their own. A worker that ends
+    without its entries raises ``ChildProcessError``. ``_Run`` has refused
+    duplicate names before the first load."""
+    paths = run.corpora
+    count = _processes(len(paths))
+    workers = []  # (pid, read end of its pipe, its corpora), until it is reaped
+    try:
+        for k in range(1, count):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                # the worker keeps no read end, or its write would block for
+                # good when this process dies before reading
+                os.close(read)
+                for _, pipe, _ in workers:
+                    pipe.close()
+                _work(run, paths[k::count], reports_of, write)  # never returns
+            os.close(write)
+            workers.append((pid, open(read, "rb"), paths[k::count]))
+        shares = [_share(run, paths[::count], reports_of)]
+        while workers:
+            pid, pipe, names = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            if status or not data:
+                raise ChildProcessError(f"the worker for {', '.join(names)} ended "
+                                        f"without a result (wait status {status})")
+            shares.append(pickle.loads(data))
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    datasets, lengths, labels, scores, failures = [], [], [], [], []
+    for i in range(len(paths)):
+        entry = shares[i % count][i // count]
+        if isinstance(entry, str):
+            failures.append(entry)
+        elif failures:
             continue
-        if not failures:  # after a failure the rest load only to name theirs
-            index = build_repetition_index(corpus, run.config.min_n)
-            summaries = [summary_repetition_score(rec, index, mode=run.config.eq1_mode)
-                         for rec in corpus.records]
-            datasets.append(dataset_repetition_score(corpus, index))
-            lengths.append((corpus.name, length_statistics(corpus)))
-            labels += [_Labels(r.architecture, r.train_dataset, r.test_dataset, r.length_tokens)
-                       for r in corpus.records]
-            scores += [s.score for s in summaries]
-            if reports_of is not None:
-                reports_of(corpus, index, summaries)
-        corpus = index = summaries = None  # or they stay alive through the next load
+        elif isinstance(entry, Exception):
+            raise entry
+        else:
+            datasets.append(entry.dataset)
+            lengths.append(entry.lengths)
+            labels += entry.labels
+            scores += entry.scores
+            run.files.update(entry.files)
+            run.notes += entry.notes
     if failures:
         raise InputError("\n".join(failures))
     return datasets, lengths, labels, scores
@@ -279,6 +412,12 @@ class _Run:
         if st is not None and (st.st_dev, st.st_ino) in self.read_ids:
             raise InputError(f"{path}: output is an input file; choose another --output-dir")
         return path
+
+    def part(self) -> _Run:
+        """A copy of this run that collects reports and notes of its own."""
+        part = copy.copy(self)
+        part.files, part.notes = {}, []
+        return part
 
     def write(self, filename: str, text: str) -> None:
         self.files[filename] = text
@@ -415,7 +554,9 @@ def _emit_regression(run: _Run, labels: list[_Labels], scores: list[float]) -> N
 # Report bodies: each loads the corpora and writes its reports into ``run``;
 # ``main`` publishes them.
 def cmd_score(run: _Run, args: argparse.Namespace) -> None:
-    datasets, lengths, _, _ = _each_corpus(run, lambda c, i, s: _emit_summary_scores(run, c, s))
+    datasets, lengths, _, _ = _each_corpus(
+        run, lambda part, corpus, index, summaries: _emit_summary_scores(part, corpus, summaries)
+    )
     _emit_scores(run, datasets, lengths)
 
 
@@ -434,13 +575,13 @@ def cmd_regress(run: _Run, args: argparse.Namespace) -> None:
 
 
 def cmd_report_all(run: _Run, args: argparse.Namespace) -> None:
-    def reports_of(corpus: Corpus, index, summaries) -> None:
-        _emit_summary_scores(run, corpus, summaries)
-        _emit_repeats(run, corpus, index, args, suffix=f"_{corpus.name}")
+    def reports_of(part: _Run, corpus: Corpus, index, summaries) -> None:
+        _emit_summary_scores(part, corpus, summaries)
+        _emit_repeats(part, corpus, index, args, suffix=f"_{corpus.name}")
         try:
-            _emit_abstractiveness(run, corpus, suffix=f"_{corpus.name}")
+            _emit_abstractiveness(part, corpus, suffix=f"_{corpus.name}")
         except MissingPairedInputError:
-            run.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
+            part.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
 
     datasets, lengths, labels, scores = _each_corpus(run, reports_of)
     _emit_scores(run, datasets, lengths)

@@ -228,7 +228,9 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
     A line ends at ``\\n`` only, as JSON Lines defines it, so a ``\\r``
     before it or between the parts of a record is JSON whitespace. Each
     line is decoded as UTF-8 once, in the one read of the file, so a byte
-    that is not UTF-8 is named by its line. Blank lines are skipped.
+    that is not UTF-8 is named by its line. A line of JSON whitespace alone
+    (space, ``\\t``, ``\\r``) is blank and skipped; any other character, such
+    as a no-break space, makes the line invalid JSON.
     Errors report the file and line number. A record keeps its summary's
     text and ids, and only the ids of its input, all in one vocabulary.
     """
@@ -246,7 +248,7 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
+                if not line.strip(" \t\r\n"):
                     continue
                 record = _record_from_line(line, config, vocab)
                 if record.id in seen_ids:

@@ -68,9 +68,11 @@ def _valid_lines(count: int) -> bytes:
 # than 8 KB of good lines, also in a file of \r\n line ends, an integer of more
 # digits than Python converts, an array nested deeper than the parser recurses,
 # a lone surrogate escape, which json accepts but no UTF-8 report can hold (the
-# surrogate pair on the line before it is one character and loads), and lines
+# surrogate pair on the line before it is one character and loads), lines
 # that end in a lone \r, which JSON Lines does not end a line at: the file is
-# one line holding two records.
+# one line holding two records, and a line of characters that str.strip drops
+# but JSON does not count as whitespace (a no-break space, a line separator,
+# a next-line control and an information separator), so the line is not blank.
 UNREADABLE_CORPORA = {
     "not_utf8": (_valid_lines(300) + b'{"id": "s\xff"}\n' + _valid_lines(1), 301,
                  "not valid UTF-8"),
@@ -86,6 +88,8 @@ UNREADABLE_CORPORA = {
         2, "field 'id' holds a lone surrogate",
     ),
     "lone_cr": (_valid_lines(2).replace(b"\n", b"\r"), 1, "invalid JSON: Extra data"),
+    "not_json_whitespace": (_valid_lines(1) + " \u00a0\u2028\u0085\x1c\n".encode(), 2,
+                            "invalid JSON"),
 }
 
 

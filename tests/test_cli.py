@@ -8,8 +8,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from repscope.cli import main
 from repscope.config import AnalysisConfig
 from repscope.corpus import TokenizerConfig, load_corpus
 from repscope.metrics import summary_repetition_score
-from repscope.ngrams import build_repetition_index
+from repscope.ngrams import RepetitionIndex, build_repetition_index
 from repscope.regression import RegressionSpec, build_design_matrix, ols_fit
 
 from conftest import UNREADABLE_CORPORA, child_env, write_jsonl
@@ -61,6 +63,48 @@ def single_error_line(err: str) -> str:
     error_lines = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(error_lines) == 1 and "Traceback" not in err, err
     return error_lines[0]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every path through ``main`` reaps the workers it forked."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class CallLog:
+    """Calls recorded in a file with the pid of the process that made them,
+    so that a test sees the calls of the forked workers too."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        path.touch()
+
+    def add(self, *item) -> None:
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), *item]) + "\n")
+
+    def wrap(self, name: str, fn):
+        def wrapped(*args, **kwargs):
+            self.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def by_process(self) -> list[list]:
+        """Each process's calls in order, this process's first; a call of
+        one item is the item itself."""
+        calls = {os.getpid(): []}
+        for line in self.path.read_text(encoding="utf-8").splitlines():
+            pid, *item = json.loads(line)
+            calls.setdefault(pid, []).append(item[0] if len(item) == 1 else item)
+        return list(calls.values())
+
+
+def shares(count: int) -> list[int]:
+    """How many of ``count`` corpora each process takes, this one first."""
+    processes = repscope.cli._processes(count)
+    return [len(range(k, count, processes)) for k in range(processes)]
 
 
 class TestScore:
@@ -848,19 +892,42 @@ class TestReportAll:
     @pytest.mark.parametrize("command", ["regress", "report-all"])
     def test_first_and_third_failures_named_in_order(self, fixture_corpora, tmp_path, capsys,
                                                      monkeypatch, command):
-        def no_index(*args):
-            raise AssertionError("a corpus was indexed after a load failed")
+        log = CallLog(tmp_path / "calls.jsonl")
+        load, build = repscope.cli.load_corpus, repscope.cli.build_repetition_index
 
-        monkeypatch.setattr(repscope.cli, "build_repetition_index", no_index)
+        def logged_load(path, *args):
+            log.add("load", str(path))
+            try:
+                return load(path, *args)
+            except repscope.cli.InputError:
+                log.add("failed", str(path))
+                raise
+
+        def logged_build(corpus, *args):
+            log.add("index", corpus.name)
+            return build(corpus, *args)
+
+        monkeypatch.setattr(repscope.cli, "load_corpus", logged_load)
+        monkeypatch.setattr(repscope.cli, "build_repetition_index", logged_build)
         missing = tmp_path / "missing.jsonl"
         broken = tmp_path / "broken.jsonl"
         broken.write_text("{broken\n")
-        argv = [command, str(missing), fixture_corpora[0], str(broken)]
-        assert main([*argv, "--output-dir", str(tmp_path / "o")]) == 1
+        corpora = [str(missing), fixture_corpora[0], str(broken), *fixture_corpora[1:]]
+        assert main([command, *corpora, "--output-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {missing}: cannot open")
         assert err.index("missing.jsonl") < err.index("broken.jsonl:1")
         assert err.count("error:") == 1 and "note:" not in err
+        # every corpus is loaded once, and no process indexes a corpus after
+        # one of its own loads failed
+        calls = log.by_process()
+        loads = [[name for kind, name in seq if kind == "load"] for seq in calls]
+        assert sorted(sum(loads, [])) == sorted(corpora)
+        assert [len(names) for names in loads] == shares(len(corpora))
+        for seq in calls:
+            kinds = [kind for kind, _ in seq]
+            if "failed" in kinds:
+                assert "index" not in kinds[kinds.index("failed"):], seq
 
     def test_produces_every_report_family(self, fixture_corpora, tmp_path):
         out = tmp_path / "out"
@@ -1019,23 +1086,22 @@ class TestStartup:
 
 
 class TestFitInProcess:
-    """regress and report-all fit in this process: no command forks, and a
-    fault of the fit reaches the caller as raised."""
+    """regress and report-all fit in this process, and a fault of the fit
+    reaches the caller as raised."""
 
     @pytest.mark.parametrize("command", ["regress", "report-all"])
     def test_no_child_process(self, fixture_corpora, tmp_path, monkeypatch, command):
+        # where os.fork does not exist, this process takes every corpus and
+        # writes the same reports
         out = tmp_path / "o"
         assert main([command, *fixture_corpora, "--output-dir", str(out)]) == 0
         normal = dir_snapshot(out)
-
-        def no_fork():
-            raise AssertionError("os.fork called")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+        log = CallLog(tmp_path / "calls.jsonl")
+        monkeypatch.setattr(repscope.cli, "load_corpus", log.wrap("load_corpus", load_corpus))
+        monkeypatch.delattr(os, "fork")
         assert main([command, *fixture_corpora, "--output-dir", str(out)]) == 0
         assert dir_snapshot(out) == normal
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert log.by_process() == [["load_corpus"] * len(fixture_corpora)]
 
     def test_without_the_wrapper_file_the_fit_imports_scipy_linalg(
         self, fixture_corpora, tmp_path, monkeypatch
@@ -1091,20 +1157,22 @@ class TestFitInProcess:
 
 
 class TestFitMemory:
-    """Each corpus is loaded and indexed once, one corpus is held at a time,
-    and report-all reads the index only through the rows it prints."""
+    """Each corpus is loaded and indexed once, each process holds one corpus
+    at a time, and report-all reads the index only through the rows it
+    prints. The calls are logged with their pid, as workers make some."""
 
     @pytest.mark.parametrize("command", ["score", "regress", "report-all"])
     def test_one_corpus_held_at_a_time(self, fixture_corpora, tmp_path, monkeypatch, command):
+        # each process keeps weak references to what it made; a worker's
+        # copy of ``made`` is empty at the fork, which comes before any load
         made = {"load_corpus": [], "build_repetition_index": []}
-        alive_at_load = []
+        log = CallLog(tmp_path / "calls.jsonl")
 
         def weakly_kept(name, fn):
             def wrapped(*args, **kwargs):
                 if name == "load_corpus":
                     gc.collect()
-                    alive_at_load.append([sum(ref() is not None for ref in refs)
-                                          for refs in made.values()])
+                    log.add([sum(ref() is not None for ref in refs) for refs in made.values()])
                 result = fn(*args, **kwargs)
                 made[name].append(weakref.ref(result))
                 return result
@@ -1113,37 +1181,254 @@ class TestFitMemory:
         for name in made:
             monkeypatch.setattr(repscope.cli, name, weakly_kept(name, getattr(repscope.cli, name)))
         assert main([command, *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
-        # the earlier corpora and indexes alive when each corpus is loaded
-        assert alive_at_load == [[0, 0]] * len(fixture_corpora)
+        # the earlier corpora and indexes of its own process alive when each
+        # corpus is loaded
+        assert log.by_process() == [[[0, 0]] * k for k in shares(len(fixture_corpora))]
 
     def test_report_all_never_builds_entries(self, fixture_corpora, tmp_path, monkeypatch):
-        indexes = []
-        build = repscope.cli.build_repetition_index
+        log = CallLog(tmp_path / "calls.jsonl")
+        entries = RepetitionIndex.__dict__["entries"]
 
-        def kept(*args, **kwargs):
-            indexes.append(build(*args, **kwargs))
-            return indexes[-1]
+        def logged_entries(index):
+            log.add("entries")
+            return entries.__get__(index, RepetitionIndex)
 
-        monkeypatch.setattr(repscope.cli, "build_repetition_index", kept)
+        monkeypatch.setattr(RepetitionIndex, "entries", property(logged_entries))
+        monkeypatch.setattr(repscope.cli, "build_repetition_index",
+                            log.wrap("build", repscope.cli.build_repetition_index))
         assert main(["report-all", *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
-        assert len(indexes) == len(fixture_corpora)
-        assert all("entries" not in vars(index) for index in indexes)
+        assert log.by_process() == [["build"] * k for k in shares(len(fixture_corpora))]
 
     @pytest.mark.parametrize("command", ["regress", "report-all"])
     def test_each_corpus_loaded_and_indexed_once_for_two_fits(
         self, fixture_corpora, tmp_path, monkeypatch, command
     ):
-        calls = []
-
-        def counted(name, fn):
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapped
-
+        log = CallLog(tmp_path / "calls.jsonl")
         for name in ("load_corpus", "build_repetition_index", "ols_fit"):
-            monkeypatch.setattr(repscope.cli, name, counted(name, getattr(repscope.cli, name)))
+            monkeypatch.setattr(repscope.cli, name, log.wrap(name, getattr(repscope.cli, name)))
         assert main([command, *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
-        n = len(fixture_corpora)
-        # each corpus is indexed before the next one loads; the full and the nested fit
-        assert calls == ["load_corpus", "build_repetition_index"] * n + ["ols_fit"] * 2
+        # in each process, each corpus is indexed before the next one loads;
+        # this process makes the full and the nested fit
+        mine, *workers = shares(len(fixture_corpora))
+        assert log.by_process() == (
+            [["load_corpus", "build_repetition_index"] * mine + ["ols_fit"] * 2]
+            + [["load_corpus", "build_repetition_index"] * k for k in workers]
+        )
+
+
+class WorkerFault(Exception):
+    """Raised on purpose in a worker; defined at module level, so it pickles."""
+
+
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so the corpora are shared by two processes on any
+    machine: this one takes corpora 0, 2, 4, ..., a worker 1, 3, 5, ..."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+# Runs report-all in one fresh interpreter, with os.fork wrapped to count its
+# calls, then prints the forks and the process's thread count.
+FORK_CHILD = """
+import os, sys
+from repscope.cli import main
+
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+assert main(["report-all", *sys.argv[1:], "--output-dir", "out"]) == 0
+print(len(forks), len(os.listdir("/proc/self/task")))
+"""
+
+
+# Runs score on two processes in one fresh interpreter that kills itself at
+# its first load, so its worker, which writes its pid to worker.pid, is left
+# with a result larger than a pipe holds and no process to read it.
+ORPHAN_CHILD = """
+import os, signal, sys
+import repscope.cli as cli
+
+os.sched_getaffinity = lambda pid: {0, 1}
+me, load = os.getpid(), cli.load_corpus
+
+def load_or_die(path, *args):
+    if os.getpid() == me:
+        os.kill(me, signal.SIGKILL)
+    with open("worker.pid", "w") as fh:
+        fh.write(str(os.getpid()))
+    return load(path, *args)
+
+cli.load_corpus = load_or_die
+cli.main(["score", *sys.argv[1:], "--output-dir", "out"])
+"""
+
+
+class TestWorkers:
+    """score, regress and report-all deal the corpora out to one process per
+    usable CPU, this one first; the run reads as a run in one process."""
+
+    def test_tier1_takes_the_worker_path(self, fixture_corpora, tmp_path, monkeypatch):
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert main(["report-all", *fixture_corpora, "--output-dir", str(tmp_path / "o")]) == 0
+        expected = min(len(os.sched_getaffinity(0)), len(fixture_corpora))
+        assert repscope.cli._processes(len(fixture_corpora)) == expected
+        assert len(forks) == expected - 1
+
+    @pytest.mark.parametrize("command", ["score", "regress", "report-all"])
+    def test_trees_match_one_process(self, fixture_corpora, tmp_path, monkeypatch, capsys,
+                                     command):
+        # five corpora, two without inputs: report-all notes come from both
+        # processes, and the test set "d" makes the design rank deficient,
+        # which regress exits 2 for and report-all notes
+        noinput = [
+            str(write_jsonl(tmp_path / f"noinput{k}.jsonl", [
+                {"id": f"s{i}", "summary": f"a b c d e f {k} {i}", "architecture": "Human",
+                 "test_dataset": "d"} for i in range(3)
+            ])) for k in (1, 2)
+        ]
+        corpora = [fixture_corpora[0], noinput[0], *fixture_corpora[1:], noinput[1]]
+        runs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            # the same relative --output-dir, so that the manifests match too
+            work = tmp_path / f"cpus{len(cpus)}"
+            work.mkdir()
+            monkeypatch.chdir(work)
+            code = main([command, *corpora, "--output-dir", "out"])
+            tree = dir_snapshot(work / "out") if code == 0 else None
+            runs.append((code, tree, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (2 if command == "regress" else 0)
+        if command == "report-all":
+            assert runs[0][2].err.count("note:") == 3
+
+    @pytest.mark.parametrize("command", ["score", "report-all"])
+    def test_load_failures_in_both_shares_named_in_order(self, fixture_corpora, tmp_path,
+                                                         monkeypatch, capsys, command):
+        missing = [str(tmp_path / f"missing{k}.jsonl") for k in (1, 2)]
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("{broken\n")
+        # this process: humans, broken, missing2; the worker: missing1, bart_cnn, bart_xsum
+        corpora = [fixture_corpora[0], missing[0], str(broken), fixture_corpora[1],
+                   missing[1], fixture_corpora[2]]
+        two_cpus(monkeypatch)
+        assert main([command, *corpora, "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {missing[0]}: cannot open: No such file or directory\n"
+                       f"{broken}:1: invalid JSON: Expecting property name enclosed in "
+                       "double quotes\n"
+                       f"{missing[1]}: cannot open: No such file or directory\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fails_first", [False, True], ids=["raised", "after_load_failure"])
+    def test_worker_exception_reaches_caller(self, fixture_corpora, tmp_path, monkeypatch,
+                                             capsys, fails_first):
+        # bart_cnn is the worker's; an exception is raised only if no corpus
+        # before it failed to load
+        build = repscope.cli.build_repetition_index
+
+        def failing(corpus, *args):
+            if corpus.name == "bart_cnn":
+                raise WorkerFault(f"fault in {corpus.name} (pid {os.getpid()})")
+            return build(corpus, *args)
+
+        monkeypatch.setattr(repscope.cli, "build_repetition_index", failing)
+        two_cpus(monkeypatch)
+        missing = str(tmp_path / "missing.jsonl")
+        first = missing if fails_first else fixture_corpora[0]
+        argv = ["report-all", first, *fixture_corpora[1:], "--output-dir", str(tmp_path / "o")]
+        if fails_first:
+            assert main(argv) == 1
+            assert single_error_line(capsys.readouterr().err) == (
+                f"error: {missing}: cannot open: No such file or directory"
+            )
+        else:
+            with pytest.raises(WorkerFault, match="^fault in bart_cnn") as raised:
+                main(argv)
+            assert f"(pid {os.getpid()})" not in str(raised.value)
+        assert not (tmp_path / "o").exists()
+
+    def test_killed_worker_fails_the_run(self, fixture_corpora, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 0
+        before = dir_snapshot(out)
+        load, me = repscope.cli.load_corpus, os.getpid()
+
+        def killed_in_worker(path, *args):
+            if os.getpid() != me:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path, *args)
+
+        monkeypatch.setattr(repscope.cli, "load_corpus", killed_in_worker)
+        two_cpus(monkeypatch)
+        with pytest.raises(ChildProcessError, match=(
+            rf"^the worker for {re.escape(fixture_corpora[1])} ended without a result "
+            rf"\(wait status {signal.SIGKILL}\)$"
+        )):
+            main(["score", *fixture_corpora, "--output-dir", str(out)])
+        del before["run_manifest.json"]
+        assert dir_snapshot(out) == before
+
+    def test_interrupt_kills_and_reaps_the_workers(self, fixture_corpora, tmp_path,
+                                                   monkeypatch):
+        # the worker would sleep through the test: the interrupt here must kill it
+        me = os.getpid()
+
+        def interrupted(path, *args):
+            if os.getpid() != me:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repscope.cli, "load_corpus", interrupted)
+        two_cpus(monkeypatch)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["score", *fixture_corpora, "--output-dir", str(tmp_path / "o")])
+        assert time.monotonic() - t0 < 30
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc/self/task, and two CPUs for OpenBLAS threads")
+    def test_openblas_threads_mean_one_process(self, fixture_corpora, tmp_path):
+        # with OpenBLAS threads running, a fork would copy one thread alone
+        outputs = []
+        for threads in ("2", "1"):
+            env = dict(child_env(), OPENBLAS_NUM_THREADS=threads)
+            work = tmp_path / f"threads{threads}"
+            work.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", FORK_CHILD, *fixture_corpora],
+                cwd=work, env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            forks, tasks = map(int, proc.stdout.split())
+            outputs.append((dir_snapshot(work / "out"), proc.stderr))
+            if threads == "2":
+                assert (forks, tasks > 1) == (0, True)
+            else:
+                assert (forks, tasks) == (min(len(os.sched_getaffinity(0)), 3) - 1, 1)
+        assert outputs[0] == outputs[1]
+
+    def test_worker_exits_when_this_process_dies(self, fixture_corpora, tmp_path):
+        # a summary_scores file of more than 64 KiB, more than a pipe holds
+        big = write_jsonl(tmp_path / "big.jsonl", [
+            {"id": f"s{i}", "summary": "a b c d e", "architecture": "A", "test_dataset": "d"}
+            for i in range(5000)
+        ])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_CHILD, fixture_corpora[0], str(big)],
+            cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            # the worker shares the pipes, so they close only when it exits
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.kill(int((tmp_path / "worker.pid").read_text()), signal.SIGKILL)
+            proc.communicate()
+            raise
+        assert proc.returncode == -signal.SIGKILL, err
+        assert (tmp_path / "worker.pid").exists() and not (tmp_path / "out").exists()

@@ -277,9 +277,10 @@ class TestLoadCorpus:
             load_corpus(path)
 
     def test_blank_lines_skipped(self, tmp_path):
+        # a line of JSON whitespace alone is blank
         path = tmp_path / "c.jsonl"
         body = "\n".join(json.dumps(obj) for obj in self._lines())
-        path.write_text(body + "\n\n")
+        path.write_bytes((body + "\n\n \t\r\n").encode())
         assert len(load_corpus(path)) == 3
 
     def test_missing_file(self, tmp_path):
