@@ -5,10 +5,11 @@ and drops a run manifest (config hash, input digests, tool version) beside
 them. The reports are collected during the run and published at its end,
 the manifest last, so a run that fails leaves the earlier reports whole and
 no manifest; a usage error, such as two corpora of one name, exits before
-the old manifest is removed and before any corpus is read. A corpus that
-changes between its load and its digest fails the run. Reports are
-deterministic: rerunning a command on identical inputs with an
-identical config reproduces every file byte for byte. ``score``,
+the old manifest is removed and before any corpus is read. Each corpus is
+read once: its load hashes the bytes it reads, and the manifest records
+that digest, so a pipe can be a corpus. Reports are deterministic:
+rerunning a command on identical inputs with an identical config
+reproduces every file byte for byte. ``score``,
 ``regress`` and ``report-all`` share one fan-out (``_each_corpus``): the
 corpora are dealt out in argument order to one process per usable CPU, this
 one first and the others forked once per run, and each process takes its
@@ -30,7 +31,6 @@ import copy
 import os
 import pickle
 import signal
-import stat
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -172,9 +172,10 @@ class _Labels(NamedTuple):
 
 
 class _Scored(NamedTuple):
-    """What one corpus gives the cross-corpus reports and the fit, with the
-    texts and notes of its own reports."""
+    """What one corpus gives the cross-corpus reports, the fit and the
+    manifest, with the texts and notes of its own reports."""
 
+    sha256: str
     dataset: DatasetRepetitionScore
     lengths: tuple[str, LengthStats]
     labels: list[_Labels]
@@ -200,6 +201,7 @@ def _entry(run: _Run, path: str, reports_of, load_only: bool):
     if reports_of is not None:
         reports_of(part, corpus, index, summaries)
     return _Scored(
+        corpus.sha256,
         dataset_repetition_score(corpus, index),
         (corpus.name, length_statistics(corpus)),
         [_Labels(r.architecture, r.train_dataset, r.test_dataset, r.length_tokens)
@@ -306,7 +308,7 @@ def _each_corpus(run: _Run, reports_of=None):
             os.waitpid(pid, 0)
 
     datasets, lengths, labels, scores, failures = [], [], [], [], []
-    for i in range(len(paths)):
+    for i, path in enumerate(paths):
         entry = shares[i % count][i // count]
         if isinstance(entry, str):
             failures.append(entry)
@@ -315,6 +317,7 @@ def _each_corpus(run: _Run, reports_of=None):
         elif isinstance(entry, Exception):
             raise entry
         else:
+            run.digests[path] = entry.sha256
             datasets.append(entry.dataset)
             lengths.append(entry.lengths)
             labels += entry.labels
@@ -335,38 +338,16 @@ def _stat(path) -> os.stat_result | None:
         return None
 
 
-def _version(st: os.stat_result | None):
-    """What tells one state of a file from a later one, short of its bytes."""
-    return st and (st.st_ino, st.st_size, st.st_mtime_ns)
-
-
-def _digest(corpus: str, before: os.stat_result | None) -> str:
-    """The manifest's sha256 of a corpus, read again after its load.
-    ``before`` is its stat from before the load; a corpus whose stat after
-    the digest differs was changed during the run, so the digest may not be
-    of the bytes analysed. A rewrite to the same size within one tick of the
-    file system's timestamps is not seen."""
-    try:
-        digest = reports.sha256_file(corpus)
-    except OSError as exc:
-        raise InputError(f"{corpus}: cannot read it again for its digest: "
-                         f"{exc.strerror or exc}") from exc
-    if before is None or _version(_stat(corpus)) != _version(before):
-        raise InputError(f"{corpus}: changed during the run")
-    return digest
-
-
 class _Run:
     """Collects the report texts of one invocation; ``finish`` publishes them.
     It is the only code that touches ``--output-dir``, and it never writes or
     removes a file the run reads: a corpus or the ``--config`` file.
 
     Every check that needs only the corpus paths runs here, before the old
-    manifest is removed and before any corpus is read. Each corpus is read
-    twice, once to load it and once for its digest, so a corpus that is not
-    a regular file is refused, and its stat is kept to refuse a corpus that
-    changed between the two reads. Two corpora that ``load_corpus`` would
-    give one name are refused, as their reports would overwrite each other."""
+    manifest is removed and before any corpus is read: two corpora that
+    ``load_corpus`` would give one name are refused, as their reports would
+    overwrite each other. ``digests`` maps each corpus loaded to the sha256
+    its load hashed, for the manifest."""
 
     def __init__(
         self, command: str, config: AnalysisConfig, corpora: list[str], config_path: str | None
@@ -374,13 +355,6 @@ class _Run:
         self.command = command
         self.config = config
         self.corpora = corpora
-        self.inputs = inputs = {p: _stat(p) for p in (*corpora, config_path) if p}
-        for path in corpora:
-            if inputs[path] is not None and not stat.S_ISREG(inputs[path].st_mode):
-                raise InputError(
-                    f"{path}: not a regular file; a corpus is read twice, "
-                    "to load it and for its digest"
-                )
         names = [Path(p).stem for p in corpora]
         dupes = sorted({n for n in names if names.count(n) > 1})
         if dupes:
@@ -390,8 +364,10 @@ class _Run:
             )
         # the (st_dev, st_ino) pairs ``os.path.samefile`` compares, taken once
         # here so that checking an output costs one stat, whatever the inputs
-        self.read_ids = {(st.st_dev, st.st_ino) for st in inputs.values() if st is not None}
+        stats = (_stat(p) for p in (*corpora, config_path) if p)
+        self.read_ids = {(st.st_dev, st.st_ino) for st in stats if st is not None}
         self.output_dir = Path(config.output_dir)
+        self.digests: dict[str, str] = {}
         self.files: dict[str, str] = {}
         self.notes: list[str] = []
         # The old manifest goes first, so a run that fails leaves none
@@ -418,6 +394,12 @@ class _Run:
         part = copy.copy(self)
         part.files, part.notes = {}, []
         return part
+
+    def load(self, path: str) -> Corpus:
+        """Load one corpus in this process and record its digest."""
+        corpus = load_corpus(path, self.config.tokenizer)
+        self.digests[path] = corpus.sha256
+        return corpus
 
     def write(self, filename: str, text: str) -> None:
         self.files[filename] = text
@@ -457,7 +439,7 @@ class _Run:
             "command": self.command,
             "config": config_dict,
             "config_sha256": reports.sha256_bytes(config_json),
-            "inputs": [{"path": p, "sha256": _digest(p, self.inputs[p])} for p in self.corpora],
+            "inputs": [{"path": p, "sha256": self.digests[p]} for p in self.corpora],
             "outputs": sorted(self.files),
             "notes": self.notes,
         }
@@ -561,12 +543,12 @@ def cmd_score(run: _Run, args: argparse.Namespace) -> None:
 
 
 def cmd_repeats(run: _Run, args: argparse.Namespace) -> None:
-    corpus = load_corpus(args.corpora[0], run.config.tokenizer)
+    corpus = run.load(args.corpora[0])
     _emit_repeats(run, corpus, build_repetition_index(corpus, run.config.min_n), args)
 
 
 def cmd_abstractiveness(run: _Run, args: argparse.Namespace) -> None:
-    _emit_abstractiveness(run, load_corpus(args.corpora[0], run.config.tokenizer))
+    _emit_abstractiveness(run, run.load(args.corpora[0]))
 
 
 def cmd_regress(run: _Run, args: argparse.Namespace) -> None:

@@ -12,11 +12,12 @@ it; a paired input keeps only its ids.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import unicodedata
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -161,10 +162,13 @@ class SummaryRecord:
 @dataclass(frozen=True)
 class Corpus:
     """An ordered, immutable, non-empty collection of records sharing one
-    tokenizer and one vocabulary."""
+    tokenizer and one vocabulary. ``sha256`` is the hex digest of the file
+    ``load_corpus`` read it from, every byte of it; None for a corpus built
+    in code. Two corpora of the same records are equal whatever their digests."""
 
     records: tuple[SummaryRecord, ...]
     name: str = ""
+    sha256: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         # load_corpus checks both conditions first, to name the file and the
@@ -231,6 +235,9 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
     that is not UTF-8 is named by its line. A line of JSON whitespace alone
     (space, ``\\t``, ``\\r``) is blank and skipped; any other character, such
     as a no-break space, makes the line invalid JSON.
+    That read also hashes every byte, blank lines and line ends included,
+    into ``Corpus.sha256``, so the digest is of the bytes loaded, and a
+    pipe can be a corpus.
     Errors report the file and line number. A record keeps its summary's
     text and ids, and only the ids of its input, all in one vocabulary.
     """
@@ -240,12 +247,14 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
     records: list[SummaryRecord] = []
     seen_ids: dict[str, int] = {}
     vocab = Vocabulary()
+    digest = hashlib.sha256()
     try:
         fh = path.open("rb")
     except OSError as exc:
         raise CorpusLoadError(f"{path}: cannot open: {exc.strerror or exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
+            digest.update(raw)
             try:
                 line = raw.decode("utf-8")
                 if not line.strip(" \t\r\n"):
@@ -264,4 +273,4 @@ def load_corpus(path: str | Path, config: TokenizerConfig | None = None) -> Corp
         raise EmptyCorpusError(f"{path}: no records")
     for memo in vocab.units:  # a cache for the load only: the corpus keeps ids and tokens
         memo.clear()
-    return Corpus(records=tuple(records), name=path.stem)
+    return Corpus(records=tuple(records), name=path.stem, sha256=digest.hexdigest())

@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import functools
 import gc
+import hashlib
 import importlib.machinery
 import json
 import math
@@ -107,6 +108,17 @@ def shares(count: int) -> list[int]:
     return [len(range(k, count, processes)) for k in range(processes)]
 
 
+# Runs the CLI in a fresh interpreter on two usable CPUs, so that a second
+# corpus is read by a forked worker on any machine.
+TWO_PROCESS_CHILD = """
+import os, sys
+from repscope.cli import main
+
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestScore:
     def test_toy_corpus_outputs(self, tmp_path):
         lines = [
@@ -159,26 +171,44 @@ class TestScore:
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["named_pipe", "piped_stdin"])
-    def test_corpus_that_is_not_a_regular_file_exits_1(self, fixture_corpora, tmp_path, source):
-        # the manifest's digest reads each corpus a second time, which a pipe
-        # cannot give; a child process, so that a run which opens the named
-        # pipe (and waits for a writer) fails the test rather than hanging it
+    def test_pipe_is_a_corpus(self, fixture_corpora, tmp_path, source):
+        # a corpus is read once, so a pipe can be one; it is the second of
+        # two corpora on two processes, so a forked worker reads it. A child
+        # process, so that a run which never reads the pipe fails the test
+        # rather than hanging it
+        data = Path(fixture_corpora[1]).read_bytes()
+        writer = None
         if source == "named_pipe":
-            corpus, data = str(tmp_path / "pipe.jsonl"), None
+            corpus = str(tmp_path / "pipe.jsonl")
             os.mkfifo(corpus)
+            # blocks until the run opens the pipe
+            writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', fixture_corpora[1], corpus])
         else:
-            corpus, data = "/dev/stdin", Path(fixture_corpora[0]).read_bytes()
+            corpus = "/dev/stdin"
         out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repscope.cli", "score", corpus, "--output-dir", str(out)],
-            input=data, env=child_env(), capture_output=True, timeout=60,
-        )
-        assert proc.returncode == 1
-        assert single_error_line(proc.stderr.decode()) == (
-            f"error: {corpus}: not a regular file; a corpus is read twice, "
-            "to load it and for its digest"
-        )
-        assert not out.exists()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", TWO_PROCESS_CHILD, "score", fixture_corpora[0], corpus,
+                 "--output-dir", str(out)],
+                input=data if writer is None else None, env=child_env(), capture_output=True,
+                timeout=60,
+            )
+        finally:
+            if writer is not None:
+                writer.kill()
+                writer.wait()
+        assert proc.returncode == 0, proc.stderr
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        assert inputs == [
+            {"path": fixture_corpora[0],
+             "sha256": hashlib.sha256(Path(fixture_corpora[0]).read_bytes()).hexdigest()},
+            {"path": corpus, "sha256": hashlib.sha256(data).hexdigest()},
+        ]
+        from_file = tmp_path / "from_file"
+        assert main(["score", fixture_corpora[1], "--output-dir", str(from_file)]) == 0
+        assert (out / f"summary_scores_{Path(corpus).stem}.csv").read_bytes() == (
+            from_file / "summary_scores_bart_cnn.csv"
+        ).read_bytes()
 
     def test_stdin_redirected_from_a_file_is_a_corpus(self, fixture_corpora, tmp_path):
         out = tmp_path / "out"
@@ -190,32 +220,54 @@ class TestScore:
             )
         assert proc.returncode == 0, proc.stderr
         inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
-        assert inputs == [{"path": "/dev/stdin", "sha256": reports.sha256_file(fixture_corpora[0])}]
+        digest = hashlib.sha256(Path(fixture_corpora[0]).read_bytes()).hexdigest()
+        assert inputs == [{"path": "/dev/stdin", "sha256": digest}]
 
-    @pytest.mark.parametrize("change", ["removed", "appended"])
-    def test_corpus_gone_before_its_digest_exits_1(self, fixture_corpora, tmp_path, capsys,
-                                                   monkeypatch, change):
-        # the manifest's digest must be of the bytes the run analysed
+    @pytest.mark.parametrize("change", ["unchanged", "removed", "appended", "same_size"])
+    def test_manifest_digest_is_of_the_bytes_loaded(self, fixture_corpora, tmp_path,
+                                                    monkeypatch, change):
+        # every byte is hashed, blank lines, \r\n line ends and a last line
+        # without \n included, and only the bytes the load read: a change
+        # after the load, even a same-size rewrite that keeps the file's
+        # inode, size and modification time, does not reach the manifest
+        lines = Path(fixture_corpora[0]).read_bytes().splitlines()
+        original = b"\r\n".join([lines[0], b"", b" \t", *lines[1:]])
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(original)
         load = repscope.cli.load_corpus
 
         def load_then_change(path, *args):
             corpus = load(path, *args)
             if change == "removed":
                 os.remove(path)
-            else:
+            elif change == "appended":
                 with open(path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps({"id": "late", "summary": "a", "architecture": "A",
                                          "test_dataset": "d"}) + "\n")
+            elif change == "same_size":
+                st = os.stat(path)
+                with open(path, "r+b") as fh:
+                    fh.write(original[::-1])
+                os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
             return corpus
 
         monkeypatch.setattr(repscope.cli, "load_corpus", load_then_change)
         out = tmp_path / "out"
-        assert main(["score", fixture_corpora[0], "--output-dir", str(out)]) == 1
-        assert single_error_line(capsys.readouterr().err).startswith(
-            f"error: {fixture_corpora[0]}: cannot read it again for its digest: "
-            if change == "removed" else f"error: {fixture_corpora[0]}: changed during the run"
+        assert main(["score", str(path), "--output-dir", str(out)]) == 0
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        assert inputs == [{"path": str(path), "sha256": hashlib.sha256(original).hexdigest()}]
+
+    def test_directory_as_corpus_exits_1(self, fixture_corpora, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["score", fixture_corpora[0], "--output-dir", str(out)]) == 0
+        corpus = tmp_path / "dir.jsonl"
+        corpus.mkdir()
+        assert main(["score", str(corpus), "--output-dir", str(out)]) == 1
+        assert single_error_line(capsys.readouterr().err) == (
+            f"error: {corpus}: cannot open: Is a directory"
         )
-        assert not out.exists()
+        # failed at its load, after the old manifest was removed
+        assert not (out / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["score", "repeats", "abstractiveness", "regress",
                                          "report-all"])
