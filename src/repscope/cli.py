@@ -9,12 +9,13 @@ the old manifest is removed and before any corpus is read. Each corpus is
 read once: its load hashes the bytes it reads, and the manifest records
 that digest, so a pipe can be a corpus. Reports are deterministic:
 rerunning a command on identical inputs with an identical config
-reproduces every file byte for byte. ``score``,
-``regress`` and ``report-all`` share one fan-out (``_each_corpus``): the
-corpora are dealt out in argument order to one process per usable CPU, this
-one first and the others forked once per run, and each process takes its
-corpora one at a time: it loads, indexes and scores each one, renders its
-own reports, and keeps only what the cross-corpus reports read before the
+reproduces every file byte for byte. Every command runs its corpora
+through one driver, ``_each_corpus``: the corpora are dealt out in argument
+order to one process per usable CPU, this one first and the others forked
+once per run (one corpus, as ``repeats`` and ``abstractiveness`` take, runs
+here), and each process takes its corpora one at a time: it loads each one
+and runs the command's own step on it, which renders that corpus's reports
+and keeps only what the command's cross-corpus reports read, before the
 next load. This process merges what every process made in argument order,
 so reports, notes and errors are those of a run in one process. ``regress``
 and ``report-all`` then fit the pooled scores on each record's labels in
@@ -42,8 +43,6 @@ from .corpus import Corpus, load_corpus
 from .errors import AnalysisError, InputError, MissingPairedInputError
 from .metrics import (
     SCORE_MODES,
-    DatasetRepetitionScore,
-    LengthStats,
     abstractiveness_rows,
     dataset_repetition_score,
     length_statistics,
@@ -161,65 +160,31 @@ def _replace_given(obj, **changes):
     return replace(obj, **{k: v for k, v in changes.items() if v is not None})
 
 
-class _Labels(NamedTuple):
-    """What the fit reads of one record: ``build_design_matrix`` reads only
-    these four attributes."""
-
-    architecture: str
-    train_dataset: str | None
-    test_dataset: str
-    length_tokens: int
-
-
-class _Scored(NamedTuple):
-    """What one corpus gives the cross-corpus reports, the fit and the
-    manifest, with the texts and notes of its own reports."""
-
-    sha256: str
-    dataset: DatasetRepetitionScore
-    lengths: tuple[str, LengthStats]
-    labels: list[_Labels]
-    scores: list[float]
-    files: dict[str, str]
-    notes: list[str]
-
-
-def _entry(run: _Run, path: str, reports_of, load_only: bool):
-    """Load one corpus and, unless ``load_only``, index and score it and hand
-    it, its index and its summary scores to ``reports_of`` with a part of
-    ``run`` that collects its reports alone. A load failure gives its message."""
+def _entry(run: _Run, path: str, step, load_only: bool):
+    """Load one corpus and, unless ``load_only``, run ``step`` on it with a
+    part of ``run`` that collects its reports alone. Give the corpus's
+    digest, that part's reports and notes, and what ``step`` returned; or,
+    for a load failure, its message."""
     try:
         corpus = load_corpus(path, run.config.tokenizer)
     except InputError as exc:
         return str(exc)
     if load_only:
         return None
-    index = build_repetition_index(corpus, run.config.min_n)
-    summaries = [summary_repetition_score(rec, index, mode=run.config.eq1_mode)
-                 for rec in corpus.records]
     part = run.part()
-    if reports_of is not None:
-        reports_of(part, corpus, index, summaries)
-    return _Scored(
-        corpus.sha256,
-        dataset_repetition_score(corpus, index),
-        (corpus.name, length_statistics(corpus)),
-        [_Labels(r.architecture, r.train_dataset, r.test_dataset, r.length_tokens)
-         for r in corpus.records],
-        [s.score for s in summaries],
-        part.files, part.notes,
-    )
+    value = step(part, corpus)
+    return corpus.sha256, part.files, part.notes, value
 
 
-def _share(run: _Run, paths: list[str], reports_of) -> list:
+def _share(run: _Run, paths: list[str], step) -> list:
     """``_entry`` of each path in turn, one corpus held at a time, or the
-    exception it raised. After the first load failure or exception of the
-    share, the rest are only loaded, to name their own failures."""
+    exception its step raised. After the first load failure or exception of
+    the share, the rest are only loaded, to name their own failures."""
     entries = []
     for path in paths:
-        load_only = any(not isinstance(e, _Scored) for e in entries)
+        load_only = any(not isinstance(e, tuple) for e in entries)
         try:
-            entries.append(_entry(run, path, reports_of, load_only))
+            entries.append(_entry(run, path, step, load_only))
         except Exception as exc:  # raised by ``_each_corpus`` unless a load failed before it
             entries.append(exc)
     return entries
@@ -237,25 +202,24 @@ def _processes(count: int) -> int:
         return 1
 
 
-def _work(run: _Run, paths: list[str], reports_of, fd: int) -> NoReturn:
+def _work(run: _Run, paths: list[str], step, fd: int) -> NoReturn:
     """A forked worker's whole life: run its share, send the entries pickled
     through ``fd``, and exit without returning into the caller, with status 0
     only once they are sent."""
     status = 1
     try:
         with open(fd, "wb") as pipe:
-            pickle.dump(_share(run, paths, reports_of), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_share(run, paths, step), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
-def _each_corpus(run: _Run, reports_of=None):
-    """Load, index and score each corpus, hand it, its index and its summary
-    scores to ``reports_of`` with a part of ``run`` that collects its reports,
-    and return what the cross-corpus reports read: the dataset scores, the
-    (name, length statistics) pairs, and one label row and one score per
-    record.
+def _each_corpus(run: _Run, step) -> list:
+    """Load each corpus and run the command's ``step(part, corpus)`` on it,
+    where ``part`` is a copy of ``run`` that collects that corpus's reports
+    and notes; record each digest, merge each part into ``run``, and return
+    what the steps returned, in argument order.
 
     The corpora are shared among ``_processes`` processes: corpus i goes to
     process i mod P, and process 0 is this one, so the split, and what a
@@ -268,7 +232,7 @@ def _each_corpus(run: _Run, reports_of=None):
     is raised only if no corpus before it failed to load, and after a load
     failure the later corpora only name their own. A worker that ends
     without its entries raises ``ChildProcessError``. ``_Run`` has refused
-    duplicate names before the first load."""
+    duplicate names before the first load. One corpus runs in this process."""
     paths = run.corpora
     count = _processes(len(paths))
     workers = []  # (pid, read end of its pipe, its corpora), until it is reaped
@@ -287,10 +251,10 @@ def _each_corpus(run: _Run, reports_of=None):
                 os.close(read)
                 for _, pipe, _ in workers:
                     pipe.close()
-                _work(run, paths[k::count], reports_of, write)  # never returns
+                _work(run, paths[k::count], step, write)  # never returns
             os.close(write)
             workers.append((pid, open(read, "rb"), paths[k::count]))
-        shares = [_share(run, paths[::count], reports_of)]
+        shares = [_share(run, paths[::count], step)]
         while workers:
             pid, pipe, names = workers[0]
             with pipe:
@@ -307,7 +271,7 @@ def _each_corpus(run: _Run, reports_of=None):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    datasets, lengths, labels, scores, failures = [], [], [], [], []
+    values, failures = [], []
     for i, path in enumerate(paths):
         entry = shares[i % count][i // count]
         if isinstance(entry, str):
@@ -317,16 +281,13 @@ def _each_corpus(run: _Run, reports_of=None):
         elif isinstance(entry, Exception):
             raise entry
         else:
-            run.digests[path] = entry.sha256
-            datasets.append(entry.dataset)
-            lengths.append(entry.lengths)
-            labels += entry.labels
-            scores += entry.scores
-            run.files.update(entry.files)
-            run.notes += entry.notes
+            run.digests[path], files, notes, value = entry
+            run.files.update(files)
+            run.notes += notes
+            values.append(value)
     if failures:
         raise InputError("\n".join(failures))
-    return datasets, lengths, labels, scores
+    return values
 
 
 def _stat(path) -> os.stat_result | None:
@@ -395,12 +356,6 @@ class _Run:
         part.files, part.notes = {}, []
         return part
 
-    def load(self, path: str) -> Corpus:
-        """Load one corpus in this process and record its digest."""
-        corpus = load_corpus(path, self.config.tokenizer)
-        self.digests[path] = corpus.sha256
-        return corpus
-
     def write(self, filename: str, text: str) -> None:
         self.files[filename] = text
 
@@ -468,7 +423,38 @@ class _Run:
             print(f"note: {message}", file=sys.stderr)
 
 
-def _emit_scores(run: _Run, datasets, lengths) -> None:
+def _index_and_scores(run: _Run, corpus: Corpus):
+    """The repetition index of ``corpus`` and the Eq.1 score of each summary."""
+    index = build_repetition_index(corpus, run.config.min_n)
+    return index, [summary_repetition_score(rec, index, mode=run.config.eq1_mode)
+                   for rec in corpus.records]
+
+
+def _score_row(corpus: Corpus, index):
+    """What ``_emit_scores`` reads of one corpus."""
+    return dataset_repetition_score(corpus, index), (corpus.name, length_statistics(corpus))
+
+
+class _Labels(NamedTuple):
+    """What the fit reads of one record: ``build_design_matrix`` reads only
+    these four attributes."""
+
+    architecture: str
+    train_dataset: str | None
+    test_dataset: str
+    length_tokens: int
+
+
+def _fit_rows(corpus: Corpus, summaries):
+    """What ``_emit_regression`` reads of one corpus: one label row and one
+    score per record."""
+    return ([_Labels(r.architecture, r.train_dataset, r.test_dataset, r.length_tokens)
+             for r in corpus.records], [s.score for s in summaries])
+
+
+def _emit_scores(run: _Run, rows) -> None:
+    """The dataset scores and length statistics, from each corpus's ``_score_row``."""
+    datasets, lengths = zip(*rows)
     run.emit(
         "dataset_scores", datasets,
         csv=reports.dataset_scores_csv, markdown=reports.dataset_scores_markdown,
@@ -503,9 +489,11 @@ def _emit_abstractiveness(run: _Run, corpus: Corpus, *, suffix: str = "") -> Non
     )
 
 
-def _emit_regression(run: _Run, labels: list[_Labels], scores: list[float]) -> None:
-    """Fit the pooled scores on each record's labels and, when interactions
-    are on, compare the fit with the nested one without them by the LR test."""
+def _emit_regression(run: _Run, rows) -> None:
+    """Fit the pooled scores of each corpus's ``_fit_rows`` on their labels and, when
+    interactions are on, compare the fit with the nested one by the LR test."""
+    labels = [label for corpus_labels, _ in rows for label in corpus_labels]
+    scores = [score for _, corpus_scores in rows for score in corpus_scores]
     spec = run.config.regression
     # the nested design's columns are a subset of this one's, so building it
     # after the full fit raises no error that this build would not raise first
@@ -533,42 +521,48 @@ def _emit_regression(run: _Run, labels: list[_Labels], scores: list[float]) -> N
     run.write("design_columns.json", reports.canonical_json(columns))
 
 
-# Report bodies: each loads the corpora and writes its reports into ``run``;
-# ``main`` publishes them.
+# Report bodies: each runs its step on every corpus through ``_each_corpus``
+# and writes its reports into ``run``; ``main`` publishes them.
 def cmd_score(run: _Run, args: argparse.Namespace) -> None:
-    datasets, lengths, _, _ = _each_corpus(
-        run, lambda part, corpus, index, summaries: _emit_summary_scores(part, corpus, summaries)
-    )
-    _emit_scores(run, datasets, lengths)
+    def step(part: _Run, corpus: Corpus):
+        index, summaries = _index_and_scores(part, corpus)
+        _emit_summary_scores(part, corpus, summaries)
+        return _score_row(corpus, index)
+
+    _emit_scores(run, _each_corpus(run, step))
 
 
 def cmd_repeats(run: _Run, args: argparse.Namespace) -> None:
-    corpus = run.load(args.corpora[0])
-    _emit_repeats(run, corpus, build_repetition_index(corpus, run.config.min_n), args)
+    _each_corpus(run, lambda part, corpus: _emit_repeats(
+        part, corpus, build_repetition_index(corpus, part.config.min_n), args))
 
 
 def cmd_abstractiveness(run: _Run, args: argparse.Namespace) -> None:
-    _emit_abstractiveness(run, run.load(args.corpora[0]))
+    _each_corpus(run, _emit_abstractiveness)
 
 
 def cmd_regress(run: _Run, args: argparse.Namespace) -> None:
-    _, _, labels, scores = _each_corpus(run)
-    _emit_regression(run, labels, scores)
+    def step(part: _Run, corpus: Corpus):
+        return _fit_rows(corpus, _index_and_scores(part, corpus)[1])
+
+    _emit_regression(run, _each_corpus(run, step))
 
 
 def cmd_report_all(run: _Run, args: argparse.Namespace) -> None:
-    def reports_of(part: _Run, corpus: Corpus, index, summaries) -> None:
+    def step(part: _Run, corpus: Corpus):
+        index, summaries = _index_and_scores(part, corpus)
         _emit_summary_scores(part, corpus, summaries)
         _emit_repeats(part, corpus, index, args, suffix=f"_{corpus.name}")
         try:
             _emit_abstractiveness(part, corpus, suffix=f"_{corpus.name}")
         except MissingPairedInputError:
             part.note(f"abstractiveness skipped for {corpus.name!r}: records lack paired inputs")
+        return _score_row(corpus, index), _fit_rows(corpus, summaries)
 
-    datasets, lengths, labels, scores = _each_corpus(run, reports_of)
-    _emit_scores(run, datasets, lengths)
+    score_rows, fit_rows = zip(*_each_corpus(run, step))
+    _emit_scores(run, score_rows)
     try:
-        _emit_regression(run, labels, scores)
+        _emit_regression(run, fit_rows)
     except AnalysisError as exc:
         run.note(f"regression skipped: {exc}")
 

@@ -1208,12 +1208,32 @@ class TestFitInProcess:
             main(["regress", *fixture_corpora, "--output-dir", str(tmp_path / "o")])
 
 
+# What each command computes per corpus, in its step of ``_each_corpus``
+COMPUTED = {
+    "score": {"build_repetition_index", "summary_repetition_score",
+              "dataset_repetition_score", "length_statistics"},
+    "repeats": {"build_repetition_index", "top_repeats"},
+    "abstractiveness": {"abstractiveness_rows"},
+    "regress": {"build_repetition_index", "summary_repetition_score", "build_design_matrix"},
+    "report-all": {"build_repetition_index", "summary_repetition_score",
+                   "dataset_repetition_score", "length_statistics", "top_repeats",
+                   "abstractiveness_rows", "build_design_matrix"},
+}
+
+
+def command_corpora(command: str, fixture_corpora: list[str]) -> list[str]:
+    """The corpora a test runs ``command`` on: repeats and abstractiveness
+    take the first one alone."""
+    return fixture_corpora[:1] if command in ("repeats", "abstractiveness") else fixture_corpora
+
+
 class TestFitMemory:
     """Each corpus is loaded and indexed once, each process holds one corpus
-    at a time, and report-all reads the index only through the rows it
+    at a time, every command, through the one driver, computes only what its
+    reports read, and report-all reads the index only through the rows it
     prints. The calls are logged with their pid, as workers make some."""
 
-    @pytest.mark.parametrize("command", ["score", "regress", "report-all"])
+    @pytest.mark.parametrize("command", list(COMPUTED))
     def test_one_corpus_held_at_a_time(self, fixture_corpora, tmp_path, monkeypatch, command):
         # each process keeps weak references to what it made; a worker's
         # copy of ``made`` is empty at the fork, which comes before any load
@@ -1232,10 +1252,38 @@ class TestFitMemory:
 
         for name in made:
             monkeypatch.setattr(repscope.cli, name, weakly_kept(name, getattr(repscope.cli, name)))
-        assert main([command, *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
+        corpora = command_corpora(command, fixture_corpora)
+        assert main([command, *corpora, "--output-dir", str(tmp_path / "out")]) == 0
         # the earlier corpora and indexes of its own process alive when each
         # corpus is loaded
-        assert log.by_process() == [[[0, 0]] * k for k in shares(len(fixture_corpora))]
+        assert log.by_process() == [[[0, 0]] * k for k in shares(len(corpora))]
+
+    @pytest.mark.parametrize("command", list(COMPUTED))
+    def test_each_command_computes_only_what_its_reports_read(
+        self, fixture_corpora, tmp_path, monkeypatch, command
+    ):
+        log = CallLog(tmp_path / "calls.jsonl")
+        for name in COMPUTED["report-all"]:
+            monkeypatch.setattr(repscope.cli, name, log.wrap(name, getattr(repscope.cli, name)))
+        corpora = command_corpora(command, fixture_corpora)
+        assert main([command, *corpora, "--output-dir", str(tmp_path / "out")]) == 0
+        assert {name for calls in log.by_process() for name in calls} == COMPUTED[command]
+
+    def test_one_corpus_step_fault_reaches_caller_unchanged(
+        self, fixture_corpora, tmp_path, monkeypatch
+    ):
+        # repeats runs its one corpus in this process, through the same driver
+        raised = []
+
+        def failing(corpus, *args):
+            raised.append(WorkerFault(f"fault in {corpus.name}"))
+            raise raised[-1]
+
+        monkeypatch.setattr(repscope.cli, "build_repetition_index", failing)
+        with pytest.raises(WorkerFault, match="^fault in humans$") as caught:
+            main(["repeats", fixture_corpora[0], "--output-dir", str(tmp_path / "o")])
+        assert caught.value is raised[0] and len(raised) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_report_all_never_builds_entries(self, fixture_corpora, tmp_path, monkeypatch):
         log = CallLog(tmp_path / "calls.jsonl")
@@ -1314,8 +1362,10 @@ cli.main(["score", *sys.argv[1:], "--output-dir", "out"])
 
 
 class TestWorkers:
-    """score, regress and report-all deal the corpora out to one process per
-    usable CPU, this one first; the run reads as a run in one process."""
+    """Every command deals its corpora out to one process per usable CPU, at
+    most one per corpus, this one first; the run reads as a run in one
+    process. score, regress and report-all take several corpora, so these
+    tests run them."""
 
     def test_tier1_takes_the_worker_path(self, fixture_corpora, tmp_path, monkeypatch):
         forks, fork = [], os.fork
