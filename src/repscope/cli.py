@@ -10,17 +10,18 @@ read once: its load hashes the bytes it reads, and the manifest records
 that digest, so a pipe can be a corpus. Reports are deterministic:
 rerunning a command on identical inputs with an identical config
 reproduces every file byte for byte. Every command runs its corpora
-through one driver, ``_each_corpus``: the corpora are dealt out in argument
-order to one process per usable CPU, this one first and the others forked
-once per run (one corpus, as ``repeats`` and ``abstractiveness`` take, runs
-here), and each process takes its corpora one at a time: it loads each one
-and runs the command's own step on it, which renders that corpus's reports
-and keeps only what the command's cross-corpus reports read, before the
-next load. This process merges what every process made in argument order,
-so reports, notes and errors are those of a run in one process. ``regress``
+through one driver, ``_each_corpus``: with one usable CPU, or one corpus, as
+``repeats`` and ``abstractiveness`` take, this process takes every corpus;
+otherwise it forks one worker per usable CPU, at most one per corpus, once
+per run, deals the corpora out to them in argument order and holds none
+itself. Each process takes its corpora one at a time: it loads each one and
+runs the command's own step on it, which renders that corpus's reports and
+keeps only what the command's cross-corpus reports read, before the next
+load. This process merges what the workers made in argument order, so
+reports, notes and errors are those of a run in one process. ``regress``
 and ``report-all`` then fit the pooled scores on each record's labels in
-one regression, in this process: only that fit loads scipy's LAPACK
-wrappers (``regression._factor``).
+one regression, in this process, which held no corpus if it forked: only
+that fit loads scipy's LAPACK wrappers (``regression._factor``).
 
 Exit codes: 0 success, 1 input error, 2 analysis error.
 """
@@ -33,6 +34,7 @@ import os
 import pickle
 import signal
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, NoReturn
@@ -178,8 +180,9 @@ def _entry(run: _Run, path: str, step, load_only: bool):
 
 def _share(run: _Run, paths: list[str], step) -> list:
     """``_entry`` of each path in turn, one corpus held at a time, or the
-    exception its step raised. After the first load failure or exception of
-    the share, the rest are only loaded, to name their own failures."""
+    exception its step raised: a process's whole share of the corpora. After
+    the first load failure or exception of the share, the rest are only
+    loaded, to name their own failures."""
     entries = []
     for path in paths:
         load_only = any(not isinstance(e, tuple) for e in entries)
@@ -202,14 +205,42 @@ def _processes(count: int) -> int:
         return 1
 
 
+class _RemoteTraceback(Exception):
+    """The text of a traceback printed in a worker: the ``__cause__`` of the
+    exception that the worker raised, once it is unpickled here."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _with_cause(exc: Exception, text: str) -> Exception:
+    exc.__cause__ = _RemoteTraceback(text)
+    return exc
+
+
+class _Raised:
+    """An exception of a worker's share, pickled with its traceback's text,
+    which pickle drops from an exception: it unpickles as the exception with
+    that text chained as its ``__cause__``, as ``concurrent.futures`` does."""
+
+    def __init__(self, exc: Exception):
+        self.exc = exc
+        self.text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+
+    def __reduce__(self):
+        return _with_cause, (self.exc, self.text)
+
+
 def _work(run: _Run, paths: list[str], step, fd: int) -> NoReturn:
     """A forked worker's whole life: run its share, send the entries pickled
-    through ``fd``, and exit without returning into the caller, with status 0
-    only once they are sent."""
+    through ``fd``, each exception with its traceback, and exit without
+    returning into the caller, with status 0 only once they are sent."""
     status = 1
     try:
+        entries = [_Raised(e) if isinstance(e, Exception) else e
+                   for e in _share(run, paths, step)]
         with open(fd, "wb") as pipe:
-            pickle.dump(_share(run, paths, step), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(entries, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
@@ -221,40 +252,45 @@ def _each_corpus(run: _Run, step) -> list:
     and notes; record each digest, merge each part into ``run``, and return
     what the steps returned, in argument order.
 
-    The corpora are shared among ``_processes`` processes: corpus i goes to
-    process i mod P, and process 0 is this one, so the split, and what a
-    traced run counts here, is the same in every run. Each other process is
-    forked once and runs its share in order, one corpus at a time. This
-    process runs its own share, then reads each worker's entries and reaps
-    it; on any exception it kills and reaps every worker left. The entries
-    are merged in argument order as one process would have made them: every
-    corpus that fails to load is named in one ``InputError``, an exception
-    is raised only if no corpus before it failed to load, and after a load
-    failure the later corpora only name their own. A worker that ends
-    without its entries raises ``ChildProcessError``. ``_Run`` has refused
-    duplicate names before the first load. One corpus runs in this process."""
+    With P = ``_processes`` > 1, P workers are forked once per run and
+    corpus i goes to worker i mod P, so the split is the same in every run;
+    this process loads no corpus: it reads each worker's entries in turn
+    and reaps it, and on any exception kills and reaps every worker left.
+    With P = 1 this process takes every corpus itself, and a step's
+    exception reaches the caller as raised; one from a worker comes with
+    its traceback's text as its ``__cause__``. Each process runs its share
+    in order, one corpus at a time. The entries are merged in argument
+    order as one process would have made them: every corpus that fails to
+    load is named in one ``InputError``, an exception is raised only if no
+    corpus before it failed to load, and after a load failure the later
+    corpora only name their own. A worker that ends without its entries
+    raises ``ChildProcessError``. ``_Run`` has refused duplicate names
+    before the first load."""
     paths = run.corpora
     count = _processes(len(paths))
+    shares = []
     workers = []  # (pid, read end of its pipe, its corpora), until it is reaped
     try:
-        for k in range(1, count):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
+        if count == 1:
+            shares.append(_share(run, paths, step))
+        else:
+            for k in range(count):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    # the worker keeps no read end, or its write would block
+                    # for good when this process dies before reading
+                    os.close(read)
+                    for _, pipe, _ in workers:
+                        pipe.close()
+                    _work(run, paths[k::count], step, write)  # never returns
                 os.close(write)
-                raise
-            if pid == 0:
-                # the worker keeps no read end, or its write would block for
-                # good when this process dies before reading
-                os.close(read)
-                for _, pipe, _ in workers:
-                    pipe.close()
-                _work(run, paths[k::count], step, write)  # never returns
-            os.close(write)
-            workers.append((pid, open(read, "rb"), paths[k::count]))
-        shares = [_share(run, paths[::count], step)]
+                workers.append((pid, open(read, "rb"), paths[k::count]))
         while workers:
             pid, pipe, names = workers[0]
             with pipe:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 import unicodedata
 from array import array
 from dataclasses import dataclass, field
@@ -213,13 +214,16 @@ def _record_from_line(line: str, config: TokenizerConfig, vocab: Vocabulary) -> 
         for field_name in REQUIRED_FIELDS + OPTIONAL_FIELDS:
             if lone := re.search("[\ud800-\udfff]", obj.get(field_name) or ""):
                 raise ValueError(f"field {field_name!r} holds a lone surrogate {lone.group()!r}")
+    train = obj.get("train_dataset")
+    # the labels repeat across records: interned, each value is one string,
+    # which a fit row shares and pickle sends once
     return SummaryRecord(
         id=obj["id"],
         text=obj["summary"],
         summary=tokenize(obj["summary"], config, vocab=vocab),
-        architecture=obj["architecture"],
-        test_dataset=obj["test_dataset"],
-        train_dataset=obj.get("train_dataset"),
+        architecture=sys.intern(obj["architecture"]),
+        test_dataset=sys.intern(obj["test_dataset"]),
+        train_dataset=None if train is None else sys.intern(train),
         input=tokenize(obj["input"], config, vocab=vocab) if obj.get("input") is not None else None,
     )
 

@@ -137,20 +137,26 @@ def build_design_matrix(
         raise DegenerateDesignError("no records to regress on")
 
     # one label per record and factor; records without a train dataset hold None
-    labels = np.array(
-        [(r.architecture, _effective_train(r, spec), r.test_dataset) for r in records],
-        dtype=object,
+    labels = (
+        (r.architecture for r in records),
+        (_effective_train(r, spec) for r in records),
+        (r.test_dataset for r in records),
     )
     factors = ("architecture", "train dataset", "test dataset")
     references = (spec.reference_architecture, spec.reference_train, spec.reference_test)
     indicators = []  # per factor, (level, column) for each non-reference level
-    for factor, reference, values in zip(factors, references, labels.T):
-        present = sorted(set(values) - {None})
+    for factor, reference, values in zip(factors, references, labels):
+        # each record's label as an integer code, numbered in first-seen order
+        codes: dict[str | None, int] = {}
+        coded = np.fromiter((codes.setdefault(v, len(codes)) for v in values),
+                            dtype=np.intp, count=len(records))
+        present = sorted(set(codes) - {None})
         if present and reference not in present:
             raise DegenerateDesignError(
                 f"reference {factor} {reference!r} not present in the data (labels: {present})"
             )
-        indicators.append([(level, values == level) for level in present if level != reference])
+        indicators.append([(level, coded == codes[level]) for level in present
+                           if level != reference])
 
     lengths = np.array([r.length_tokens for r in records], dtype=float)
     sd = float(lengths.std())

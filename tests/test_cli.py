@@ -93,19 +93,26 @@ class CallLog:
         return wrapped
 
     def by_process(self) -> list[list]:
-        """Each process's calls in order, this process's first; a call of
-        one item is the item itself."""
+        """This process's calls in order, then each worker's, the workers in
+        sorted order, as they run at once; a call of one item is the item
+        itself."""
         calls = {os.getpid(): []}
         for line in self.path.read_text(encoding="utf-8").splitlines():
             pid, *item = json.loads(line)
             calls.setdefault(pid, []).append(item[0] if len(item) == 1 else item)
-        return list(calls.values())
+        mine, *workers = calls.values()
+        return [mine, *sorted(workers)]
 
 
-def shares(count: int) -> list[int]:
-    """How many of ``count`` corpora each process takes, this one first."""
-    processes = repscope.cli._processes(count)
-    return [len(range(k, count, processes)) for k in range(processes)]
+def shares(items: list) -> list[list]:
+    """``items``, one per corpus in argument order, split as the processes
+    take the corpora, in ``CallLog.by_process``'s order: with P > 1
+    processes, none here, and worker k takes corpora k, k + P, ...; with P =
+    1, all of them here."""
+    processes = repscope.cli._processes(len(items))
+    if processes == 1:
+        return [items]
+    return [[], *sorted(items[k::processes] for k in range(processes))]
 
 
 # Runs the CLI in a fresh interpreter on two usable CPUs, so that a second
@@ -970,12 +977,11 @@ class TestReportAll:
         assert err.startswith(f"error: {missing}: cannot open")
         assert err.index("missing.jsonl") < err.index("broken.jsonl:1")
         assert err.count("error:") == 1 and "note:" not in err
-        # every corpus is loaded once, and no process indexes a corpus after
-        # one of its own loads failed
+        # every corpus is loaded once, by the process it is dealt to, and no
+        # process indexes a corpus after one of its own loads failed
         calls = log.by_process()
         loads = [[name for kind, name in seq if kind == "load"] for seq in calls]
-        assert sorted(sum(loads, [])) == sorted(corpora)
-        assert [len(names) for names in loads] == shares(len(corpora))
+        assert [loads[0], *sorted(loads[1:])] == shares(corpora)
         for seq in calls:
             kinds = [kind for kind, _ in seq]
             if "failed" in kinds:
@@ -1256,7 +1262,7 @@ class TestFitMemory:
         assert main([command, *corpora, "--output-dir", str(tmp_path / "out")]) == 0
         # the earlier corpora and indexes of its own process alive when each
         # corpus is loaded
-        assert log.by_process() == [[[0, 0]] * k for k in shares(len(corpora))]
+        assert log.by_process() == shares([[0, 0]] * len(corpora))
 
     @pytest.mark.parametrize("command", list(COMPUTED))
     def test_each_command_computes_only_what_its_reports_read(
@@ -1297,7 +1303,7 @@ class TestFitMemory:
         monkeypatch.setattr(repscope.cli, "build_repetition_index",
                             log.wrap("build", repscope.cli.build_repetition_index))
         assert main(["report-all", *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
-        assert log.by_process() == [["build"] * k for k in shares(len(fixture_corpora))]
+        assert log.by_process() == shares(["build"] * len(fixture_corpora))
 
     @pytest.mark.parametrize("command", ["regress", "report-all"])
     def test_each_corpus_loaded_and_indexed_once_for_two_fits(
@@ -1309,11 +1315,10 @@ class TestFitMemory:
         assert main([command, *fixture_corpora, "--output-dir", str(tmp_path / "out")]) == 0
         # in each process, each corpus is indexed before the next one loads;
         # this process makes the full and the nested fit
-        mine, *workers = shares(len(fixture_corpora))
-        assert log.by_process() == (
-            [["load_corpus", "build_repetition_index"] * mine + ["ols_fit"] * 2]
-            + [["load_corpus", "build_repetition_index"] * k for k in workers]
-        )
+        split = shares([["load_corpus", "build_repetition_index"]] * len(fixture_corpora))
+        expected = [sum(share, []) for share in split]
+        expected[0] += ["ols_fit"] * 2
+        assert log.by_process() == expected
 
 
 class WorkerFault(Exception):
@@ -1321,8 +1326,9 @@ class WorkerFault(Exception):
 
 
 def two_cpus(monkeypatch):
-    """Two usable CPUs, so the corpora are shared by two processes on any
-    machine: this one takes corpora 0, 2, 4, ..., a worker 1, 3, 5, ..."""
+    """Two usable CPUs, so the corpora are shared by two forked workers on
+    any machine: one takes corpora 0, 2, 4, ..., the other 1, 3, 5, ...,
+    and this process none."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -1339,8 +1345,9 @@ print(len(forks), len(os.listdir("/proc/self/task")))
 """
 
 
-# Runs score on two processes in one fresh interpreter that kills itself at
-# its first load, so its worker, which writes its pid to worker.pid, is left
+# Runs score on two workers in one fresh interpreter that kills itself when
+# it first waits for a worker to exit, after reading the first worker's
+# result, so the second worker, which writes its pid to worker.pid, is left
 # with a result larger than a pipe holds and no process to read it.
 ORPHAN_CHILD = """
 import os, signal, sys
@@ -1349,21 +1356,25 @@ import repscope.cli as cli
 os.sched_getaffinity = lambda pid: {0, 1}
 me, load = os.getpid(), cli.load_corpus
 
-def load_or_die(path, *args):
-    if os.getpid() == me:
-        os.kill(me, signal.SIGKILL)
-    with open("worker.pid", "w") as fh:
-        fh.write(str(os.getpid()))
+def die(*args):
+    os.kill(me, signal.SIGKILL)
+
+def load_and_tell(path, *args):
+    if path == sys.argv[2]:
+        with open("worker.pid", "w") as fh:
+            fh.write(str(os.getpid()))
     return load(path, *args)
 
-cli.load_corpus = load_or_die
+os.waitpid = die
+cli.load_corpus = load_and_tell
 cli.main(["score", *sys.argv[1:], "--output-dir", "out"])
 """
 
 
 class TestWorkers:
-    """Every command deals its corpora out to one process per usable CPU, at
-    most one per corpus, this one first; the run reads as a run in one
+    """With more than one usable CPU, every command deals its corpora out to
+    one forked worker per usable CPU, at most one per corpus, and this
+    process only merges, fits and publishes; the run reads as a run in one
     process. score, regress and report-all take several corpora, so these
     tests run them."""
 
@@ -1378,7 +1389,7 @@ class TestWorkers:
         assert main(["report-all", *fixture_corpora, "--output-dir", str(tmp_path / "o")]) == 0
         expected = min(len(os.sched_getaffinity(0)), len(fixture_corpora))
         assert repscope.cli._processes(len(fixture_corpora)) == expected
-        assert len(forks) == expected - 1
+        assert len(forks) == (expected if expected > 1 else 0)
 
     @pytest.mark.parametrize("command", ["score", "regress", "report-all"])
     def test_trees_match_one_process(self, fixture_corpora, tmp_path, monkeypatch, capsys,
@@ -1414,7 +1425,7 @@ class TestWorkers:
         missing = [str(tmp_path / f"missing{k}.jsonl") for k in (1, 2)]
         broken = tmp_path / "broken.jsonl"
         broken.write_text("{broken\n")
-        # this process: humans, broken, missing2; the worker: missing1, bart_cnn, bart_xsum
+        # one worker: humans, broken, missing2; the other: missing1, bart_cnn, bart_xsum
         corpora = [fixture_corpora[0], missing[0], str(broken), fixture_corpora[1],
                    missing[1], fixture_corpora[2]]
         two_cpus(monkeypatch)
@@ -1429,7 +1440,7 @@ class TestWorkers:
     @pytest.mark.parametrize("fails_first", [False, True], ids=["raised", "after_load_failure"])
     def test_worker_exception_reaches_caller(self, fixture_corpora, tmp_path, monkeypatch,
                                              capsys, fails_first):
-        # bart_cnn is the worker's; an exception is raised only if no corpus
+        # bart_cnn is a worker's; an exception is raised only if no corpus
         # before it failed to load
         build = repscope.cli.build_repetition_index
 
@@ -1454,14 +1465,46 @@ class TestWorkers:
             assert f"(pid {os.getpid()})" not in str(raised.value)
         assert not (tmp_path / "o").exists()
 
+    def test_worker_fault_keeps_its_traceback(self, fixture_corpora, tmp_path, monkeypatch):
+        # pickle drops an exception's traceback: its text comes back as the
+        # cause; bart_cnn is read in a worker at any split of two processes
+        build = repscope.cli.build_repetition_index
+
+        def fault_in_step(corpus, *args):
+            if corpus.name == "bart_cnn":
+                raise WorkerFault(f"fault in {corpus.name}")
+            return build(corpus, *args)
+
+        monkeypatch.setattr(repscope.cli, "build_repetition_index", fault_in_step)
+        two_cpus(monkeypatch)
+        with pytest.raises(WorkerFault, match="^fault in bart_cnn$") as raised:
+            main(["report-all", *fixture_corpora, "--output-dir", str(tmp_path / "o")])
+        cause = str(raised.value.__cause__)
+        assert re.search(r'File ".*", line \d+, in fault_in_step\n', cause), cause
+        assert cause.rstrip('"\n').endswith("WorkerFault: fault in bart_cnn")
+        assert not (tmp_path / "o").exists()
+
+    def test_this_process_loads_no_corpus_and_fits(self, fixture_corpora, tmp_path,
+                                                   monkeypatch):
+        log = CallLog(tmp_path / "calls.jsonl")
+        for name in ("load_corpus", "build_repetition_index", "summary_repetition_score",
+                     "ols_fit"):
+            monkeypatch.setattr(repscope.cli, name, log.wrap(name, getattr(repscope.cli, name)))
+        two_cpus(monkeypatch)
+        assert main(["report-all", *fixture_corpora, "--output-dir", str(tmp_path / "o")]) == 0
+        mine, *workers = log.by_process()
+        assert mine == ["ols_fit", "ols_fit"]
+        assert len(workers) == 2
+        assert sorted(w.count("load_corpus") for w in workers) == [1, 2]
+
     def test_killed_worker_fails_the_run(self, fixture_corpora, tmp_path, monkeypatch):
         out = tmp_path / "o"
         assert main(["score", *fixture_corpora, "--output-dir", str(out)]) == 0
         before = dir_snapshot(out)
-        load, me = repscope.cli.load_corpus, os.getpid()
+        load = repscope.cli.load_corpus
 
         def killed_in_worker(path, *args):
-            if os.getpid() != me:
+            if path == fixture_corpora[1]:
                 os.kill(os.getpid(), signal.SIGKILL)
             return load(path, *args)
 
@@ -1477,15 +1520,24 @@ class TestWorkers:
 
     def test_interrupt_kills_and_reaps_the_workers(self, fixture_corpora, tmp_path,
                                                    monkeypatch):
-        # the worker would sleep through the test: the interrupt here must kill it
-        me = os.getpid()
+        # the second worker would sleep through the test: the interrupt here,
+        # where this process waits for the first worker to exit, must kill it
+        load, waitpid = repscope.cli.load_corpus, os.waitpid
+        waits = []
 
-        def interrupted(path, *args):
-            if os.getpid() != me:
+        def sleepy(path, *args):
+            if path == fixture_corpora[1]:
                 time.sleep(60)
-            raise KeyboardInterrupt
+            return load(path, *args)
 
-        monkeypatch.setattr(repscope.cli, "load_corpus", interrupted)
+        def interrupted(*args):
+            waits.append(args)
+            if len(waits) == 1:
+                raise KeyboardInterrupt
+            return waitpid(*args)
+
+        monkeypatch.setattr(repscope.cli, "load_corpus", sleepy)
+        monkeypatch.setattr(os, "waitpid", interrupted)
         two_cpus(monkeypatch)
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -1512,7 +1564,7 @@ class TestWorkers:
             if threads == "2":
                 assert (forks, tasks > 1) == (0, True)
             else:
-                assert (forks, tasks) == (min(len(os.sched_getaffinity(0)), 3) - 1, 1)
+                assert (forks, tasks) == (min(len(os.sched_getaffinity(0)), 3), 1)
         assert outputs[0] == outputs[1]
 
     def test_worker_exits_when_this_process_dies(self, fixture_corpora, tmp_path):

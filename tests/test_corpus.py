@@ -193,6 +193,17 @@ class TestLoadCorpus:
         assert corpus.name == "c"
         assert corpus.records[0].length_tokens == 3
 
+    def test_equal_labels_are_one_string(self, tmp_path):
+        # labels repeat across records; json gives each line strings of its own
+        lines = [{"id": f"s{i}", "summary": "a b", "architecture": "BART",
+                  "train_dataset": "CNN/DailyMail", "test_dataset": "XSum"} for i in (1, 2)]
+        lines.append({"id": "s3", "summary": "c", "architecture": "Human",
+                      "test_dataset": "XSum"})
+        s1, s2, s3 = load_corpus(write_jsonl(tmp_path / "c.jsonl", lines)).records
+        assert s1.architecture is s2.architecture
+        assert s1.train_dataset is s2.train_dataset and s3.train_dataset is None
+        assert s1.test_dataset is s2.test_dataset is s3.test_dataset
+
     def test_duplicate_id_error_names_id_and_lines(self, tmp_path):
         lines = self._lines()
         lines.append(dict(lines[0]))
