@@ -213,22 +213,33 @@ class _RemoteTraceback(Exception):
         return f'\n"""\n{self.args[0]}"""'
 
 
-def _with_cause(exc: Exception, text: str) -> Exception:
-    exc.__cause__ = _RemoteTraceback(text)
-    return exc
-
-
 class _Raised:
-    """An exception of a worker's share, pickled with its traceback's text,
-    which pickle drops from an exception: it unpickles as the exception with
-    that text chained as its ``__cause__``, as ``concurrent.futures`` does."""
+    """An exception of a worker's share, pickled on its own, with its
+    traceback's text, which pickle drops from an exception: it unpickles as
+    the exception with that text chained as its ``__cause__``, as
+    ``concurrent.futures`` does. An exception that pickle cannot carry (an
+    attribute that does not pickle, an ``__init__`` that ``args`` do not
+    fit) unpickles as a ``RuntimeError`` that names its type and message."""
 
     def __init__(self, exc: Exception):
-        self.exc = exc
         self.text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        self.line = "".join(traceback.format_exception_only(type(exc), exc)).strip()
+        try:
+            self.data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            self.data = None
 
     def __reduce__(self):
-        return _with_cause, (self.exc, self.text)
+        return _unpickle_raised, (self.data, self.line, self.text)
+
+
+def _unpickle_raised(data: bytes | None, line: str, text: str) -> Exception:
+    try:
+        exc = pickle.loads(data)  # data None, where it did not pickle, raises TypeError
+    except Exception:
+        exc = RuntimeError(f"{line} (raised in a worker; pickle cannot carry it)")
+    exc.__cause__ = _RemoteTraceback(text)
+    return exc
 
 
 def _work(run: _Run, paths: list[str], step, fd: int) -> NoReturn:

@@ -1,10 +1,15 @@
 """Distribution tail probabilities for regression inference.
 
 Regularized incomplete beta and gamma functions evaluated by power series
-and continued fractions (modified Lentz iteration), each in the regime
-where its terms stay positive or its convergents settle fast. Log-space
-prefactors are assembled from Stirling-series differences so that huge
-degrees of freedom (up to 1e6) keep better than 1e-10 relative accuracy.
+and continued fractions, each in the regime where its terms stay positive
+or its convergents settle fast. Both tails share two evaluators: ``_series``
+sums terms that each multiply the last by a ratio, and ``_lentz`` runs the
+modified Lentz iteration (Lentz 1976, Appl. Opt. 15:668; Thompson and
+Barnett 1986, J. Comput. Phys. 64:490). The gamma tail's growing
+denominators stay running sums (``accumulate``), not ``a + k`` or
+``b + 2 k``, which round differently: the reports print every bit of a tail.
+Log-space prefactors are assembled from Stirling-series differences so that
+huge degrees of freedom (up to 1e6) keep better than 1e-10 relative accuracy.
 Quantiles come from root finding on the tails, by a port of scipy's C
 ``brentq`` solver (R. P. Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 4) that finds the same roots bit for bit without
@@ -14,6 +19,7 @@ loading ``scipy.optimize``.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, count, islice, repeat
 
 _EPS = 1e-16
 _TINY = 1e-300
@@ -88,55 +94,17 @@ def _beta_oriented(a: float, b: float, x: float, ln_x: float, ln_xc: float) -> f
     ln_front = _ln_inv_beta(a, b) + a * ln_x + b * ln_xc
     if b * x <= 2.0 and x <= 0.95:
         # hypergeometric series; all terms positive, no cancellation
-        term = 1.0
-        total = 1.0
-        k = 0
-        while k < _MAX_ITER:
-            k += 1
-            term *= x * (a + b + k - 1.0) / (a + k)
-            total += term
-            if term < total * _EPS:
-                return math.exp(ln_front) * total / a
-        raise ArithmeticError(f"incomplete beta series did not converge (a={a}, b={b}, x={x})")
-    return math.exp(ln_front) * _beta_continued_fraction(a, b, x) / a
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
+        ratios = (x * (a + b + k - 1.0) / (a + k) for k in count(1))
+        total = _series(1.0, ratios, "incomplete beta series", a=a, b=b, x=x)
+        return math.exp(ln_front) * total / a
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + coef / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + coef / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
-    )
+    # each m's even and odd term; convergence is checked after the odd one
+    steps = (((m * (b - m) * x / ((qam + 2 * m) * (a + 2 * m)), 1.0),
+              (-(a + m) * (qab + m) * x / ((a + 2 * m) * (qap + 2 * m)), 1.0)) for m in count(1))
+    h = _lentz(1.0, 1.0 / (_TINY if abs(d) < _TINY else d), steps,
+               "incomplete beta continued fraction", a=a, b=b, x=x)
+    return math.exp(ln_front) * h / a
 
 
 def _ln_gamma_front(a: float, x: float) -> float:
@@ -147,41 +115,42 @@ def _ln_gamma_front(a: float, x: float) -> float:
     return a * _ln1p_minus_x(u) + 0.5 * math.log(a) - 0.5 * _LN_2PI - _stirling_tail(a)
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    term = 1.0 / a
+def _series(term: float, ratios, name: str, /, **args) -> float:
+    """term + term*r1 + term*r1*r2 + ..., to the first term too small to count."""
     total = term
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
+    for ratio in islice(ratios, _MAX_ITER):
+        term *= ratio
         total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(_ln_gamma_front(a, x))
-    raise ArithmeticError(f"incomplete gamma series did not converge (a={a}, x={x})")
+        if term < total * _EPS:
+            return total
+    raise _unconverged(name, args)
 
 
-def _upper_gamma_continued_fraction(a: float, x: float) -> float:
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b if abs(b) > _TINY else 1.0 / _TINY
+def _lentz(c: float, d: float, steps, name: str, /, **args) -> float:
+    """The continued fraction from its first ``c`` and inverted denominator
+    ``d``; each item of ``steps`` holds the (a, b) terms of one check."""
     h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+    for step in islice(steps, _MAX_ITER):
+        for a, b in step:
+            d = b + a * d
+            c = b + a / c
+            d = 1.0 / (_TINY if abs(d) < _TINY else d)
+            c = _TINY if abs(c) < _TINY else c
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(_ln_gamma_front(a, x))
-    raise ArithmeticError(
-        f"incomplete gamma continued fraction did not converge (a={a}, x={x})"
-    )
+            return h
+    raise _unconverged(name, args)
+
+
+def _unconverged(name: str, args: dict) -> ArithmeticError:
+    words = ", ".join(f"{k}={v}" for k, v in args.items())
+    return ArithmeticError(f"{name} did not converge ({words})")
+
+
+def _check_df(df: float) -> None:
+    if not 1 <= df < math.inf:  # also refuses NaN
+        raise ValueError(f"df must be finite and >= 1, got {df}")
 
 
 def t_two_sided_p(t: float, df: float) -> float:
@@ -191,8 +160,7 @@ def t_two_sided_p(t: float, df: float) -> float:
     x = df/(df + t^2); both tail arguments and their logs are formed
     directly from t and df to preserve relative precision at large df.
     """
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
+    _check_df(df)
     t = float(t)
     if math.isnan(t):
         raise ValueError("t statistic is NaN")
@@ -217,9 +185,8 @@ def chi2_sf(x: float, df: float) -> float:
     """Upper tail P(X >= x) of the chi-square distribution: the regularized
     upper incomplete gamma Q(a, u) = Gamma(a, u) / Gamma(a) at a = df/2,
     u = x/2."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    if x < 0:
+    _check_df(df)
+    if not x >= 0:  # also refuses NaN
         raise ValueError(f"x must be non-negative, got {x}")
     a, u = 0.5 * df, 0.5 * x
     if u == 0.0:
@@ -227,8 +194,15 @@ def chi2_sf(x: float, df: float) -> float:
     if math.isinf(u):
         return 0.0
     if u < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, u)
-    return _upper_gamma_continued_fraction(a, u)
+        ratios = (u / denom for denom in accumulate(repeat(1.0), initial=a + 1.0))
+        total = _series(1.0 / a, ratios, "incomplete gamma series", a=a, x=u)
+        return 1.0 - total * math.exp(_ln_gamma_front(a, u))
+    b = u + 1.0 - a
+    bs = accumulate(repeat(2.0), initial=b + 2.0)
+    steps = (((-i * (i - a), bi),) for i, bi in zip(count(1), bs))
+    h = _lentz(1.0 / _TINY, 1.0 / b if abs(b) > _TINY else 1.0 / _TINY, steps,
+               "incomplete gamma continued fraction", a=a, x=u)
+    return h * math.exp(_ln_gamma_front(a, u))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:

@@ -12,6 +12,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -1325,6 +1326,22 @@ class WorkerFault(Exception):
     """Raised on purpose in a worker; defined at module level, so it pickles."""
 
 
+class LockedFault(Exception):
+    """Holds a lock, so it does not pickle."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class TwoArgFault(Exception):
+    """Pickles, but does not unpickle: pickle calls ``__init__`` with
+    ``args``, one string, where it takes two."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} {where}")
+
+
 def two_cpus(monkeypatch):
     """Two usable CPUs, so the corpora are shared by two forked workers on
     any machine: one takes corpora 0, 2, 4, ..., the other 1, 3, 5, ...,
@@ -1482,6 +1499,32 @@ class TestWorkers:
         cause = str(raised.value.__cause__)
         assert re.search(r'File ".*", line \d+, in fault_in_step\n', cause), cause
         assert cause.rstrip('"\n').endswith("WorkerFault: fault in bart_cnn")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault", [LockedFault, TwoArgFault],
+                             ids=["does_not_pickle", "does_not_unpickle"])
+    def test_worker_fault_that_pickle_cannot_carry(self, fixture_corpora, tmp_path,
+                                                   monkeypatch, fault):
+        # a one-process run raises the fault itself; from a worker, it comes
+        # as a stand-in that names its type and message, with its traceback
+        build = repscope.cli.build_repetition_index
+
+        def fault_in_step(corpus, *args):
+            if corpus.name == "bart_cnn":
+                raise (fault("fault in bart_cnn") if fault is LockedFault
+                       else fault("fault in", "bart_cnn"))
+            return build(corpus, *args)
+
+        monkeypatch.setattr(repscope.cli, "build_repetition_index", fault_in_step)
+        two_cpus(monkeypatch)
+        with pytest.raises(RuntimeError, match=(
+            rf"^(\w+\.)*{fault.__name__}: fault in bart_cnn \(raised in a worker; "
+            r"pickle cannot carry it\)$"
+        )) as raised:
+            main(["report-all", *fixture_corpora, "--output-dir", str(tmp_path / "o")])
+        cause = str(raised.value.__cause__)
+        assert re.search(r'File ".*", line \d+, in fault_in_step\n', cause), cause
+        assert cause.rstrip('"\n').endswith(f"{fault.__name__}: fault in bart_cnn")
         assert not (tmp_path / "o").exists()
 
     def test_this_process_loads_no_corpus_and_fits(self, fixture_corpora, tmp_path,

@@ -4,6 +4,7 @@ import pytest
 from scipy import stats
 from scipy.optimize import brentq
 
+import repscope.special
 from repscope.special import _brentq, chi2_sf, t_critical, t_two_sided_p
 
 from oracles import chi2_sf_quad, t_two_sided_quad
@@ -52,8 +53,10 @@ class TestTTwoSidedP:
         assert values == sorted(values, reverse=True)
 
     def test_df_validated(self):
-        with pytest.raises(ValueError):
-            t_two_sided_p(1.0, 0)
+        # a NaN or infinite df would run the evaluators to their iteration limit
+        for df in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^df must be"):
+                t_two_sided_p(2.0, df)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -85,12 +88,14 @@ class TestChi2Sf:
                 assert chi2_sf(x, df) == pytest.approx(ref, rel=1e-9, abs=1e-300), (x, df)
 
     def test_negative_x_rejected(self):
-        with pytest.raises(ValueError):
-            chi2_sf(-1.0, 3)
+        for x in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="^x must be non-negative"):
+                chi2_sf(x, 3)
 
     def test_df_validated(self):
-        with pytest.raises(ValueError):
-            chi2_sf(1.0, 0)
+        for df in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^df must be"):
+                chi2_sf(2.0, df)
 
 
 class TestIncompleteFunctions:
@@ -106,7 +111,27 @@ class TestIncompleteFunctions:
                 ), (a, x)
 
 
+class TestEvaluators:
+    @pytest.mark.parametrize("tail, args, message", [
+        (t_two_sided_p, (1.0, 10), r"incomplete beta series did not converge \(a=0\.5, b=5\.0, x="),
+        (t_two_sided_p, (2.0, 100), r"incomplete beta continued fraction did not converge "
+                                    r"\(a=50\.0, b=0\.5, x="),
+        (chi2_sf, (3.0, 5), r"incomplete gamma series did not converge \(a=2\.5, x=1\.5\)$"),
+        (chi2_sf, (20.0, 5), r"incomplete gamma continued fraction did not converge "
+                             r"\(a=2\.5, x=10\.0\)$"),
+    ], ids=["beta_series", "beta_fraction", "gamma_series", "gamma_fraction"])
+    def test_iteration_limit_names_tail_method_and_arguments(self, monkeypatch, tail, args,
+                                                            message):
+        monkeypatch.setattr(repscope.special, "_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match=f"^{message}"):
+            tail(*args)
+
+
 class TestTCritical:
+    def test_df_validated(self):
+        with pytest.raises(ValueError, match="^df must be"):
+            t_critical(0.95, math.inf)
+
     def test_round_trip_through_tail(self):
         for df in (1, 3, 10, 200, 731377):
             for level in (0.9, 0.95, 0.99):
